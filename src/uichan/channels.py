@@ -29,7 +29,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatchError, DomainError, InvalidModelError
 from .linalg import dag
-from .models import CommutingModel, TensorModel, validate_commuting
+from .models import CommutingModel, TensorModel
 
 DEFAULT_MAX_N = 4
 
@@ -147,7 +147,7 @@ def _dims_and_tensor(model: TensorModel | CommutingModel):
 def _check_model(model: TensorModel | CommutingModel) -> None:
     model.check()
     if isinstance(model, CommutingModel):
-        report = validate_commuting(model)
+        report = model.commutation
         if not report.accepted:
             raise InvalidModelError(
                 f"commuting model rejected: max commutator {report.max_commutator:.3e}, "

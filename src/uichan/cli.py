@@ -45,6 +45,7 @@ def _read_json(path: str) -> dict:
 def _emit(args, payload: dict, inputs: dict[str, str], t0: float) -> None:
     indent = args.json_indent if args.json_indent >= 0 else None
     config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    payload_text = serialize.dumps(payload, indent)
     manifest = {
         "command": args.command,
         "version": __version__,
@@ -52,13 +53,15 @@ def _emit(args, payload: dict, inputs: dict[str, str], t0: float) -> None:
         "config": config,
         "inputs": {name: {"path": path, "sha256": serialize.sha256_file(path)}
                    for name, path in inputs.items()},
-        "payload_sha256": serialize.sha256_text(serialize.dumps(payload, indent)),
+        "payload_sha256": serialize.sha256_text(payload_text),
         "wall_ms": round((time.perf_counter() - t0) * 1000.0, 3),
     }
-    text = serialize.dumps({"payload": payload, "manifest": manifest}, indent)
+    text = serialize.dumps_document(payload_text, manifest, indent)
+    del payload_text  # channel payloads run to tens of MB: hold one copy while writing
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
     else:
         print(text)
 

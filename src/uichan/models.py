@@ -24,18 +24,36 @@ defects).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, InvalidModelError
+from .errors import DimensionMismatchError, DomainError, InvalidModelError
 from .linalg import dag
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _frozen(a: np.ndarray, name: str) -> np.ndarray:
     out = np.array(a, dtype=complex)
+    if not np.isfinite(out).all():
+        raise DomainError(f"{name} has non-finite entries")
     out.setflags(write=False)
     return out
+
+
+def _worst(values) -> float:
+    """Largest of the defects; NaN if any is NaN (the builtin max may drop it)."""
+    return float(np.max(list(values)))
+
+
+def _worst_unitarity(mats) -> float:
+    return _worst(linalg.unitarity_defect(M) for M in mats)
+
+
+def _require_within(what: str, defects: dict[str, float], t: float) -> None:
+    """Raise unless every defect is at most t; a NaN defect fails."""
+    if not all(v <= t for v in defects.values()):
+        raise InvalidModelError(f"{what} defects {defects} exceed tolerance {t:.3e}")
 
 
 def _freeze_state(state: np.ndarray, dim: int, name: str) -> np.ndarray:
@@ -48,7 +66,7 @@ def _freeze_state(state: np.ndarray, dim: int, name: str) -> np.ndarray:
             raise DimensionMismatchError(f"{name} density matrix has shape {s.shape}, expected {(dim, dim)}")
     else:
         raise DimensionMismatchError(f"{name} must be a vector or a square matrix")
-    return _frozen(s)
+    return _frozen(s, name)
 
 
 def _state_defect(state: np.ndarray) -> float:
@@ -57,7 +75,7 @@ def _state_defect(state: np.ndarray) -> float:
         return abs(float(np.linalg.norm(state)) - 1.0)
     herm = linalg.hermiticity_defect(state)
     w = np.linalg.eigvalsh((state + dag(state)) / 2)
-    return max(herm, abs(float(np.real(np.trace(state))) - 1.0), max(0.0, -float(w[0])))
+    return _worst([herm, abs(float(np.real(np.trace(state))) - 1.0), 0.0, -float(w[0])])
 
 
 def _as_density(state: np.ndarray) -> np.ndarray:
@@ -91,27 +109,25 @@ class PVMFamily:
                 A = linalg.as_matrix(P, "projector")
                 if A.shape[0] != self.d:
                     raise DimensionMismatchError(f"projector has dim {A.shape[0]}, expected {self.d}")
-                mats.append(_frozen(A))
+                mats.append(_frozen(A, "projector"))
             rows.append(tuple(mats))
         object.__setattr__(self, "projectors", tuple(rows))
 
     def defects(self) -> dict[str, float]:
         """Worst projector defect ||P^2 - P||_F, ||P - P^dag||_F and completeness defect."""
-        proj = 0.0
-        comp = 0.0
+        proj = []
+        comp = []
         for row in self.projectors:
             total = np.zeros((self.d, self.d), dtype=complex)
             for P in row:
-                proj = max(proj, float(np.linalg.norm(P @ P - P)), linalg.hermiticity_defect(P))
+                proj += [float(np.linalg.norm(P @ P - P)), linalg.hermiticity_defect(P)]
                 total = total + P
-            comp = max(comp, float(np.linalg.norm(total - np.eye(self.d))))
-        return {"projector": proj, "completeness": comp}
+            comp.append(float(np.linalg.norm(total - np.eye(self.d))))
+        return {"projector": _worst(proj), "completeness": _worst(comp)}
 
     def check(self, tol_abs: float | None = None) -> None:
         t = linalg.tol(self.d) if tol_abs is None else tol_abs
-        d = self.defects()
-        if max(d.values()) > t:
-            raise InvalidModelError(f"PVM family defects {d} exceed tolerance {t:.3e}")
+        _require_within("PVM family", self.defects(), t)
 
 
 @dataclass(frozen=True)
@@ -138,7 +154,7 @@ class TensorModel:
                 A = linalg.as_matrix(M, name)
                 if A.shape[0] != dim:
                     raise DimensionMismatchError(f"{name} has dim {A.shape[0]}, expected {dim}")
-                frozen.append(_frozen(A))
+                frozen.append(_frozen(A, name))
             object.__setattr__(self, name, tuple(frozen))
 
     @property
@@ -157,14 +173,11 @@ class TensorModel:
         return self.V[y].reshape(self.dB, self.n, self.dB, self.n).transpose(1, 3, 0, 2)
 
     def defects(self) -> dict[str, float]:
-        uni = max(linalg.unitarity_defect(M) for M in self.U + self.V)
-        return {"unitarity": uni, "state": _state_defect(self.state)}
+        return {"unitarity": _worst_unitarity(self.U + self.V), "state": _state_defect(self.state)}
 
     def check(self, tol_abs: float | None = None) -> None:
         t = linalg.tol(max(self.n * self.dA, self.dB * self.n)) if tol_abs is None else tol_abs
-        d = self.defects()
-        if max(d.values()) > t:
-            raise InvalidModelError(f"tensor model defects {d} exceed tolerance {t:.3e}")
+        _require_within("tensor model", self.defects(), t)
 
 
 @dataclass(frozen=True)
@@ -191,7 +204,7 @@ class CommutingModel:
                 A = linalg.as_matrix(M, name)
                 if A.shape[0] != dim:
                     raise DimensionMismatchError(f"{name} has dim {A.shape[0]}, expected {dim}")
-                frozen.append(_frozen(A))
+                frozen.append(_frozen(A, name))
             object.__setattr__(self, name, tuple(frozen))
 
     @property
@@ -211,14 +224,24 @@ class CommutingModel:
         return self._blocks(self.V[y])
 
     def defects(self) -> dict[str, float]:
-        uni = max(linalg.unitarity_defect(M) for M in self.U + self.V)
-        return {"unitarity": uni, "state": _state_defect(self.state)}
+        return {"unitarity": _worst_unitarity(self.U + self.V), "state": _state_defect(self.state)}
 
     def check(self, tol_abs: float | None = None) -> None:
         t = linalg.tol(self.n * self.d) if tol_abs is None else tol_abs
-        d = self.defects()
-        if max(d.values()) > t:
-            raise InvalidModelError(f"commuting model defects {d} exceed tolerance {t:.3e}")
+        _require_within("commuting model", self.defects(), t)
+
+    @cached_property
+    def commutation(self) -> CommutationReport:
+        """Entrywise commutation report; see ``validate_commuting``."""
+        worst = _worst_commutator(self)
+        uni = _worst_unitarity(self.U + self.V)
+        t = linalg.tol(self.n * self.d)
+        return CommutationReport(
+            max_commutator=worst,
+            max_unitarity_defect=uni,
+            tolerance=t,
+            accepted=bool(worst <= t and uni <= t),
+        )
 
 
 @dataclass(frozen=True)
@@ -231,6 +254,51 @@ class CommutationReport:
     accepted: bool
 
 
+def _row_and_column(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Operator entries stacked as a (d, n^2 d) row and an (n^2 d, d) column of blocks.
+
+    Both come back with real and imaginary parts side by side, as the
+    real arrays [re | im] and [re ; im].
+    """
+    n, _, d, _ = blocks.shape
+    column = blocks.reshape(n * n * d, d)
+    row = blocks.transpose(2, 0, 1, 3).reshape(d, n * n * d)
+    return np.hstack([row.real, row.imag]), np.vstack([column.real, column.imag])
+
+
+def _entry_products(column: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of every block product (column block) @ (row block).
+
+    One real product yields Ar@Br, Ar@Bi, Ai@Br and Ai@Bi at once; each
+    complex entry is then Ar@Br - Ai@Bi + i(Ar@Bi + Ai@Br).  Built this
+    way a@b and b@a round identically whenever each entry of the product
+    has a single nonzero term, as for the entries of an embedded tensor
+    model, so those commutators come out exactly zero.
+    """
+    h, w = column.shape[0] // 2, row.shape[1] // 2
+    P = column @ row
+    return P[:h, :w] - P[h:, w:], P[:h, w:] + P[h:, :w]
+
+
+def _worst_commutator(model: CommutingModel) -> float:
+    """Largest ||[u_ij, v_kl]||_F and ||[u_ij^dag, v_kl]||_F over all settings and entries."""
+    n2, d = model.n ** 2, model.d
+    swap = (2, 1, 0, 3)
+    stacked_v = [_row_and_column(model.v_blocks(y)) for y in range(model.m)]
+    worst = []
+    for x in range(model.m):
+        ub = model.u_blocks(x)
+        for blocks in (ub, np.conj(np.swapaxes(ub, -1, -2))):
+            u_row, u_col = _row_and_column(blocks)
+            for v_row, v_col in stacked_v:
+                uv_re, uv_im = _entry_products(u_col, v_row)  # block (ij, kl) = u_ij v_kl
+                vu_re, vu_im = _entry_products(v_col, u_row)  # block (kl, ij) = v_kl u_ij
+                c_re = uv_re.reshape(n2, d, n2, d) - vu_re.reshape(n2, d, n2, d).transpose(swap)
+                c_im = uv_im.reshape(n2, d, n2, d) - vu_im.reshape(n2, d, n2, d).transpose(swap)
+                worst.append(np.max(np.sum(c_re ** 2 + c_im ** 2, axis=(1, 3))))
+    return float(np.sqrt(np.max(worst)))
+
+
 def validate_commuting(model: CommutingModel) -> CommutationReport:
     """Measure how far the operator entries of U[x] and V[y] are from commuting.
 
@@ -238,26 +306,13 @@ def validate_commuting(model: CommutingModel) -> CommutationReport:
     [u_ij, v_kl] and [u_ij^dag, v_kl], plus the worst unitarity defect of
     the stored matrices.  The model is accepted iff all defects are within
     tolerance.
+
+    Per (x, y) every product u_ij v_kl comes out of one BLAS matrix product
+    of stacked entry blocks, and every v_kl u_ij out of a second, each
+    formed from real products (see ``_entry_products``).  The report is
+    computed once per model instance and cached on it (``commutation``).
     """
-    worst = 0.0
-    for x in range(model.m):
-        ub = model.u_blocks(x)
-        ubh = np.conj(np.swapaxes(ub, -1, -2))
-        for y in range(model.m):
-            vb = model.v_blocks(y)
-            for blocks in (ub, ubh):
-                lhs = np.einsum("ijab,klbc->ijklac", blocks, vb)
-                rhs = np.einsum("klab,ijbc->ijklac", vb, blocks)
-                norms = np.sqrt(np.sum(np.abs(lhs - rhs) ** 2, axis=(-2, -1)))
-                worst = max(worst, float(norms.max()))
-    uni = max(linalg.unitarity_defect(M) for M in model.U + model.V)
-    t = linalg.tol(model.n * model.d)
-    return CommutationReport(
-        max_commutator=worst,
-        max_unitarity_defect=uni,
-        tolerance=t,
-        accepted=bool(worst <= t and uni <= t),
-    )
+    return model.commutation
 
 
 def embed_tensor_as_commuting(model: TensorModel) -> CommutingModel:

@@ -45,6 +45,8 @@ def matrix_from_json(doc: dict[str, Any]) -> np.ndarray:
         raise SchemaError(f"bad matrix document: {exc}") from exc
     if re.shape != im.shape or re.ndim != 1:
         raise SchemaError("re/im must be flat lists of equal length")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise SchemaError("matrix has non-finite entries")
     flat = re + 1j * im
     if flat.size == dim * dim:
         return flat.reshape(dim, dim)
@@ -177,6 +179,8 @@ def table_from_json(doc: dict[str, Any]) -> np.ndarray:
         raise SchemaError(f"bad table document: {exc}") from exc
     if t.shape != (n, n, m, m):
         raise SchemaError(f"table shape {t.shape} does not match n={n}, m={m}")
+    if not np.isfinite(t).all():
+        raise SchemaError("table has non-finite entries")
     return t
 
 
@@ -190,6 +194,21 @@ def table_to_json(n: int, m: int, t: np.ndarray) -> dict[str, Any]:
 def dumps(doc: Any, indent: int | None = 2) -> str:
     """Deterministic JSON text (insertion order preserved, repr round-trip floats)."""
     return json.dumps(doc, indent=indent, allow_nan=False)
+
+
+def dumps_document(payload_text: str, manifest: dict[str, Any], indent: int | None = 2) -> str:
+    """``dumps({"payload": payload, "manifest": manifest}, indent)``, given ``dumps(payload, indent)``.
+
+    Nesting one level deeper only indents every line after the first by one
+    more step; ``json.dumps`` escapes newlines inside strings, so each raw
+    newline in the text is a line break.
+    """
+    manifest_text = dumps(manifest, indent)
+    if indent is None:
+        return f'{{"payload": {payload_text}, "manifest": {manifest_text}}}'
+    pad = "\n" + " " * indent
+    payload_text, manifest_text = (t.replace("\n", pad) for t in (payload_text, manifest_text))
+    return f'{{{pad}"payload": {payload_text},{pad}"manifest": {manifest_text}\n}}'
 
 
 def sha256_text(text: str) -> str:

@@ -47,6 +47,27 @@ class TestGenAndVerify:
         bad.write_text(json.dumps(doc))
         assert main(["verify", "-i", str(bad)]) == 1
 
+    def test_nan_entry_exit_2(self, model_path, tmp_path, capsys):
+        doc = read_payload(model_path)
+        doc["U"][0]["re"][0] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", "-i", str(bad), "-o", str(tmp_path / "report.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("indent", [2, -1])
+    def test_output_is_the_dumped_document(self, model_path, tmp_path, indent):
+        out = tmp_path / "report.json"
+        assert main(["verify", "-i", str(model_path), "--json-indent", str(indent),
+                     "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        indent = indent if indent >= 0 else None
+        assert out.read_text() == serialize.dumps(
+            {"payload": doc["payload"], "manifest": doc["manifest"]}, indent) + "\n"
+        assert doc["manifest"]["payload_sha256"] == serialize.sha256_text(
+            serialize.dumps(doc["payload"], indent))
+
     def test_parse_error_exit_2(self, tmp_path):
         garbage = tmp_path / "garbage.json"
         garbage.write_text("{not json")

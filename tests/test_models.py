@@ -3,10 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from uichan import linalg
-from uichan.errors import DimensionMismatchError, InvalidModelError
+from uichan.errors import DimensionMismatchError, DomainError, InvalidModelError
 from uichan.models import (CommutingModel, PVMFamily, TensorModel, diagonal_fourier_lift,
                            embed_tensor_as_commuting, random_model, random_pvm_family,
                            random_tensor_model, validate_commuting)
+
+
+#: finite entries whose products overflow to inf - inf, so defects come out NaN
+OVERFLOWING = np.array([[1e200, 1e200], [1e200, -1e200]])
 
 
 def computational_pvm(d, m):
@@ -38,6 +42,13 @@ class TestPVMFamily:
         assert bad.defects()["projector"] > 0.05
         with pytest.raises(InvalidModelError):
             bad.check()
+
+    def test_nan_defect_fails_check(self):
+        fam = PVMFamily(d=2, m=1, n=2, projectors=((np.eye(2), OVERFLOWING),))
+        with np.errstate(all="ignore"):
+            assert np.isnan(fam.defects()["projector"])
+            with pytest.raises(InvalidModelError):
+                fam.check()
 
 
 class TestModels:
@@ -77,8 +88,73 @@ class TestModels:
         with pytest.raises(InvalidModelError):
             broken.check()
 
+    def test_nan_defect_fails_check(self):
+        # the NaN sits in the last matrix, where the builtin max() would drop it
+        tm = TensorModel(n=2, m=1, dA=1, dB=1, state=np.ones(1), U=(np.eye(2),), V=(OVERFLOWING,))
+        cm = CommutingModel(n=2, m=1, d=1, state=np.ones(1), U=(np.eye(2),), V=(OVERFLOWING,))
+        with np.errstate(all="ignore"):
+            for model in (tm, cm):
+                assert np.isnan(model.defects()["unitarity"])
+                with pytest.raises(InvalidModelError):
+                    model.check()
+            assert not validate_commuting(cm).accepted
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        M = np.eye(4, dtype=complex)
+        M[1, 2] = bad
+        state = np.full(4, 0.5)
+        with pytest.raises(DomainError):
+            PVMFamily(d=4, m=1, n=1, projectors=((M,),))
+        with pytest.raises(DomainError):
+            TensorModel(n=2, m=1, dA=2, dB=2, state=state, U=(M,), V=(np.eye(4),))
+        with pytest.raises(DomainError):
+            CommutingModel(n=2, m=1, d=2, state=state[:2], U=(np.eye(4),), V=(M,))
+        with pytest.raises(DomainError):
+            TensorModel(n=2, m=1, dA=2, dB=2, state=M, U=(np.eye(4),), V=(np.eye(4),))
+
+
+def entrywise_commutator_reference(model):
+    """Worst ||[u_ij, v_kl]||_F and ||[u_ij^dag, v_kl]||_F, one entry pair at a time."""
+    worst = 0.0
+    for x in range(model.m):
+        ub = model.u_blocks(x)
+        for blocks in (ub, np.conj(np.swapaxes(ub, -1, -2))):
+            for y in range(model.m):
+                vb = model.v_blocks(y)
+                for i, j, k, l in np.ndindex(model.n, model.n, model.n, model.n):
+                    a, b = blocks[i, j], vb[k, l]
+                    worst = max(worst, float(np.linalg.norm(a @ b - b @ a)))
+    return worst
+
 
 class TestValidateCommuting:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_matches_entrywise_reference(self, n, d):
+        rng = linalg.rng_from_seed(100 * n + d)
+        cm = CommutingModel(n=n, m=2, d=d, state=linalg.haar_state_vector(rng, d),
+                            U=tuple(linalg.haar_unitary_from(rng, n * d) for _ in range(2)),
+                            V=tuple(linalg.haar_unitary_from(rng, n * d) for _ in range(2)))
+        got = validate_commuting(cm).max_commutator
+        ref = entrywise_commutator_reference(cm)
+        assert abs(got - ref) <= 1e-12 * ref
+        if d > 1:
+            assert ref > 0.05
+
+    def test_embedded_acceptance_grid_commutes_exactly(self):
+        grid = [(n, m, dA, dB) for n in (2, 3) for m in (1, 2) for dA in (2, 3) for dB in (2, 3)]
+        for i, (n, m, dA, dB) in enumerate(grid):
+            state = "vector" if i % 2 == 0 else "density"
+            tm = random_tensor_model(n, m, dA, dB, state=state, seed=700 + i)
+            assert validate_commuting(embed_tensor_as_commuting(tm)).max_commutator == 0.0
+
+    def test_report_cached_per_instance(self):
+        cm = random_model("commuting", 2, 2, 2, 2, seed=3)
+        rep = validate_commuting(cm)
+        assert validate_commuting(cm) is rep
+        assert validate_commuting(random_model("commuting", 2, 2, 2, 2, seed=3)) is not rep
+
     def test_identity_model(self):
         cm = CommutingModel(n=2, m=1, d=3, state=np.eye(3) / 3,
                             U=(np.eye(6),), V=(np.eye(6),))

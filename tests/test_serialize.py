@@ -29,6 +29,9 @@ class TestMatrixRoundTrip:
             serialize.matrix_from_json({"dim": 2, "re": [1, 0, 0], "im": [0, 0, 0]})
         with pytest.raises(SchemaError):
             serialize.matrix_from_json({"re": [1], "im": [0]})
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(SchemaError):
+                serialize.matrix_from_json({"dim": 2, "re": [1, 0, 0, 1], "im": [0, bad, 0, 0]})
 
 
 class TestModelRoundTrip:
@@ -83,6 +86,9 @@ class TestChannelAndBehaviour:
         assert t.shape == (2, 2, 2, 2)
         with pytest.raises(SchemaError):
             serialize.table_from_json({"n": 2, "m": 2, "p": [[0.0]]})
+        doc["p"][1][0][1][1] = float("nan")
+        with pytest.raises(SchemaError):
+            serialize.table_from_json(doc)
 
 
 class TestStrategy:
@@ -101,6 +107,13 @@ class TestDumps:
     def test_deterministic(self):
         doc = serialize.model_to_json(random_tensor_model(2, 1, 2, 2, seed=12))
         assert serialize.dumps(doc) == serialize.dumps(doc)
+
+    @pytest.mark.parametrize("indent", [None, 0, 1, 2, 4])
+    def test_document_around_payload_text(self, indent):
+        payload = {"text": "two\nlines", "rows": [[1.5, -0.0], []], "empty": {}}
+        manifest = {"command": "x", "config": {"seed": None}}
+        text = serialize.dumps_document(serialize.dumps(payload, indent), manifest, indent)
+        assert text == serialize.dumps({"payload": payload, "manifest": manifest}, indent)
 
     def test_digests(self):
         text = serialize.dumps({"a": 1})
