@@ -20,8 +20,7 @@ direct = channel_direct(model)
 table = moment_table(model)
 via_moments = channel_from_moments(table)
 
-gap = max(np.max(np.abs(direct.supers[x][y] - via_moments.supers[x][y]))
-          for x in range(2) for y in range(2))
+gap = np.max(np.abs(direct.supers - via_moments.supers))  # over all (x, y) at once
 print(f"max entry gap between the two routes: {gap:.3e}")
 assert gap < 1e-10
 
@@ -34,11 +33,10 @@ audit = cptp_report(direct)
 print(f"CPTP audit: min Choi eigenvalue {audit.min_choi_eigenvalue:.3e}, "
       f"trace defect {audit.trace_defect:.3e} -> accepted={audit.accepted}")
 
-recovered = moments_from_channel(direct)
-round_trip = max(np.max(np.abs(recovered.tables[x][y] - table.tables[x][y]))
-                 for x in range(2) for y in range(2))
+recovered = moments_from_channel(direct)  # a view of the channel array, no copy
+round_trip = np.max(np.abs(recovered.tables - table.tables))
 print(f"moment table recovered from the channel, round-trip gap: {round_trip:.3e}")
 
-J = choi(direct)[0][0]
+J = choi(direct)[0, 0]
 print(f"Choi matrix of the (1,1) member: shape {J.shape}, "
       f"hermitian defect {np.max(np.abs(J - J.conj().T)):.3e}")

@@ -12,13 +12,13 @@ from .bell import (Behaviour, FourierCoeffs, behaviour_direct, behaviour_from_ch
                    bell_value, chsh_functional, chsh_optimal_strategy,
                    diagonal_moment_behaviour, fourier_coeffs, lastcond_contraction,
                    normalization_functional, sub_povm_total_bound, unitaries_from_pvm)
-from .channels import (ChannelFamily, CPTPReport, MomentTable, apply, channel_direct,
+from .channels import (ChannelFamily, CPTPReport, MomentTable, channel_direct,
                        channel_from_moments, choi, cptp_report, moment_table,
                        moments_from_channel)
 from .errors import (DimensionMismatchError, DomainError, InconsistentChannelError,
                      InvalidModelError, PipelineInconsistencyError)
-from .linalg import (haar_unitary, herm_eig, is_hermitian, is_psd, is_unitary, kron,
-                     matrix_unit, partial_trace, permute_registers, swap_matrix, tol)
+from .linalg import (haar_unitary, herm_eig, kron, partial_trace, permute_registers,
+                     swap_matrix, tol)
 from .models import (CommutationReport, CommutingModel, PVMFamily, TensorModel,
                      diagonal_fourier_lift, embed_tensor_as_commuting, random_model,
                      random_pvm_family, random_tensor_model, validate_commuting)
@@ -31,13 +31,13 @@ __all__ = [
     "bell_value", "chsh_functional", "chsh_optimal_strategy",
     "diagonal_moment_behaviour", "fourier_coeffs", "lastcond_contraction",
     "normalization_functional", "sub_povm_total_bound", "unitaries_from_pvm",
-    "ChannelFamily", "CPTPReport", "MomentTable", "apply", "channel_direct",
+    "ChannelFamily", "CPTPReport", "MomentTable", "channel_direct",
     "channel_from_moments", "choi", "cptp_report", "moment_table",
     "moments_from_channel",
     "DimensionMismatchError", "DomainError", "InconsistentChannelError",
     "InvalidModelError", "PipelineInconsistencyError",
-    "haar_unitary", "herm_eig", "is_hermitian", "is_psd", "is_unitary", "kron",
-    "matrix_unit", "partial_trace", "permute_registers", "swap_matrix", "tol",
+    "haar_unitary", "herm_eig", "kron", "partial_trace", "permute_registers",
+    "swap_matrix", "tol",
     "CommutationReport", "CommutingModel", "PVMFamily", "TensorModel",
     "diagonal_fourier_lift", "embed_tensor_as_commuting", "random_model",
     "random_pvm_family", "random_tensor_model", "validate_commuting",

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import linalg
 from .channels import ChannelFamily, moments_from_channel
-from .errors import DimensionMismatchError, InconsistentChannelError, InvalidModelError
+from .errors import (DimensionMismatchError, DomainError, InconsistentChannelError,
+                     InvalidModelError)
 from .models import CommutingModel, PVMFamily, TensorModel, _fourier_unitaries
 
 
@@ -57,14 +58,7 @@ def unitaries_from_pvm(family: PVMFamily) -> tuple[tuple[np.ndarray, ...], ...]:
     every projector is recovered as P_{a|x} = sum_{a'} c[a,a'] u^x_{a'}.
     """
     family.check()
-    out = []
-    for x in range(family.m):
-        us = _fourier_unitaries(family.projectors[x], family.n)
-        for u in us:
-            if linalg.unitarity_defect(u) > 1e-10 * family.d:
-                raise InvalidModelError("Fourier combination is not unitary; PVM is invalid")
-        out.append(tuple(us))
-    return tuple(out)
+    return tuple(tuple(_fourier_unitaries(row, family.n)) for row in family.projectors)
 
 
 @dataclass(frozen=True)
@@ -81,6 +75,8 @@ class Behaviour:
             raise DimensionMismatchError(
                 f"behaviour table has shape {arr.shape}, expected {(self.n, self.n, self.m, self.m)}"
             )
+        if not np.isfinite(arr).all():
+            raise DomainError("behaviour table has non-finite entries")
         arr = np.array(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
@@ -128,15 +124,9 @@ def diagonal_moment_behaviour(channel: ChannelFamily) -> np.ndarray:
     q(ab|xy) = sum_{j,k,r,s} c_aj conj(c_ak) c_br conj(c_bs) T[j,j,k,k,r,r,s,s];
     complex, returned unclamped.
     """
-    n, m = channel.n, channel.m
-    c = fourier_coeffs(n).c
-    table = moments_from_channel(channel)
-    q = np.zeros((n, n, m, m), dtype=complex)
-    for x in range(m):
-        for y in range(m):
-            tdiag = np.einsum("jjkkrrss->jkrs", table.tables[x][y])
-            q[:, :, x, y] = np.einsum("aj,ak,br,bs,jkrs->ab", c, np.conj(c), c, np.conj(c), tdiag)
-    return q
+    c = fourier_coeffs(channel.n).c
+    tdiag = np.einsum("...jjkkrrss->...jkrs", moments_from_channel(channel).tables)
+    return np.einsum("aj,ak,br,bs,xyjkrs->abxy", c, np.conj(c), c, np.conj(c), tdiag)
 
 
 def behaviour_from_channel(channel: ChannelFamily, imag_tol: float = 1e-6) -> Behaviour:
@@ -146,25 +136,25 @@ def behaviour_from_channel(channel: ChannelFamily, imag_tol: float = 1e-6) -> Be
     single-leg moments recovered through the unitarity contractions, which
     makes every (x, y) cell sum to one exactly.  Channels whose extracted
     table carries imaginary residue beyond ``imag_tol`` are rejected.
+
+    The completion runs cell by cell: the same reductions over all cells at
+    once sum in another order and move the table in its last bits.
     """
     n, m = channel.n, channel.m
     c = fourier_coeffs(n).c
     table = moments_from_channel(channel)
     q = diagonal_moment_behaviour(channel)
     p_hat = np.array(q)
-    for x in range(m):
-        for y in range(m):
-            T = table.tables[x][y]
-            phi1v = np.einsum("ijijrrss->rs", T) / n     # phi(1 x v_rr v_ss^dag)
-            phi1u = np.einsum("jjkkprpr->jk", T) / n     # phi(u_jj u_kk^dag x 1)
-            marg_b = np.einsum("br,bs,rs->b", c, np.conj(c), phi1v)
-            marg_a = np.einsum("aj,ak,jk->a", c, np.conj(c), phi1u)
-            cell = q[:, :, x, y]
-            colsum = cell.sum(axis=0)
-            rowsum = cell.sum(axis=1)
-            p_hat[n - 1, :, x, y] += marg_b - colsum
-            p_hat[:, n - 1, x, y] += marg_a - rowsum
-            p_hat[n - 1, n - 1, x, y] += 1.0 - marg_a.sum() - marg_b.sum() + cell.sum()
+    for x, y in np.ndindex(m, m):
+        T = table.tables[x, y]
+        phi1v = np.einsum("ijijrrss->rs", T) / n     # phi(1 x v_rr v_ss^dag)
+        phi1u = np.einsum("jjkkprpr->jk", T) / n     # phi(u_jj u_kk^dag x 1)
+        marg_b = np.einsum("br,bs,rs->b", c, np.conj(c), phi1v)
+        marg_a = np.einsum("aj,ak,jk->a", c, np.conj(c), phi1u)
+        cell = q[:, :, x, y]
+        p_hat[n - 1, :, x, y] += marg_b - cell.sum(axis=0)
+        p_hat[:, n - 1, x, y] += marg_a - cell.sum(axis=1)
+        p_hat[n - 1, n - 1, x, y] += 1.0 - marg_a.sum() - marg_b.sum() + cell.sum()
     residue = float(np.max(np.abs(p_hat.imag)))
     if residue > imag_tol:
         raise InconsistentChannelError(
@@ -194,7 +184,7 @@ def lastcond_contraction(channel: ChannelFamily, a: int, b: int, x: int, y: int)
     if not (1 <= a <= n and 1 <= b <= n and 1 <= x <= m and 1 <= y <= m):
         raise DimensionMismatchError(f"labels (a={a}, b={b}, x={x}, y={y}) out of range")
     c = fourier_coeffs(n).c
-    S = channel.supers[x - 1][y - 1]
+    S = channel.supers[x - 1, y - 1]
     # the needed response entries sit on the superoperator diagonal, axes (k, s, j, r)
     diag = np.einsum("ii->i", S).reshape(n, n, n, n)
     return complex(np.einsum("j,k,r,s,ksjr->", c[a - 1], np.conj(c[a - 1]),

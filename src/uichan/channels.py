@@ -16,8 +16,12 @@ Agreement of the two routes is the toolkit's central cross-check.
 Vectorization is row-major and frozen: a matrix entry at row (k, s) and
 column (j, r) of the composite ancilla space sits at flat vector index
 ``((k*n + s)*n^2 + (j*n + r))``; superoperators act on these flat vectors.
-Superoperators and moment tables are stored dense, so the ancilla dimension
-is guarded at n <= 4 by default (override via ``max_n``).
+Each family is one read-only complex array whose two leading axes are the
+setting pair: superoperators ``(m, m, n^4, n^4)`` and moment tables
+``(m, m, n, n, n, n, n, n, n, n)``.  They hold the same numbers under a
+fixed axis permutation, so ``moments_from_channel`` returns a view.  Both are
+dense, so the ancilla dimension is guarded at n <= 4 by default (override
+via ``max_n``).
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ from .models import CommutingModel, TensorModel
 
 DEFAULT_MAX_N = 4
 
-#: axis permutation sending moment-table axes (i,j,l,k,p,r,t,s) to
-#: superoperator axes (k,s,j,r,l,t,i,p), and its inverse.
-_T_TO_S = (3, 7, 1, 5, 2, 6, 0, 4)
-_S_TO_T = (6, 2, 4, 0, 7, 3, 5, 1)
+#: axis permutation sending moment-table axes (x,y,i,j,l,k,p,r,t,s) to
+#: superoperator axes (x,y,k,s,j,r,l,t,i,p), and its inverse.
+_T_TO_S = (0, 1, 5, 9, 3, 7, 4, 8, 2, 6)
+_S_TO_T = (0, 1, 8, 4, 6, 2, 9, 5, 7, 3)
 
 
 def _guard_n(n: int, max_n: int) -> None:
@@ -47,72 +51,72 @@ def _guard_n(n: int, max_n: int) -> None:
         )
 
 
+def _frozen_grid(grid, m: int, member: tuple[int, ...], what: str) -> np.ndarray:
+    """Read-only complex copy of an m x m grid of arrays of shape ``member``."""
+    try:
+        A = np.array(grid, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatchError(f"{what} grid is not a regular m x m grid: {exc}") from exc
+    if A.shape[:2] != (m, m):
+        raise DimensionMismatchError(f"{what} grid has shape {A.shape[:2]}, expected {(m, m)}")
+    if A.shape[2:] != member:
+        raise DimensionMismatchError(f"{what} has shape {A.shape[2:]}, expected {member}")
+    A.setflags(write=False)
+    return A
+
+
 @dataclass(frozen=True)
 class ChannelFamily:
-    """Per-(x, y) superoperators on row-major vectorized ancilla-pair states."""
+    """Superoperators on row-major vectorized ancilla-pair states.
+
+    ``supers[x, y]`` (equally ``supers[x][y]``) is the n^4 x n^4 matrix of
+    the (x, y) member.
+    """
 
     n: int
     m: int
-    supers: tuple[tuple[np.ndarray, ...], ...]
+    supers: np.ndarray
 
     def __post_init__(self):
-        n4 = self.n ** 4
-        if len(self.supers) != self.m or any(len(row) != self.m for row in self.supers):
-            raise DimensionMismatchError("supers must be an m x m grid")
-        rows = []
-        for row in self.supers:
-            mats = []
-            for S in row:
-                A = linalg.as_matrix(S, "superoperator")
-                if A.shape[0] != n4:
-                    raise DimensionMismatchError(f"superoperator has dim {A.shape[0]}, expected {n4}")
-                A = np.array(A)
-                A.setflags(write=False)
-                mats.append(A)
-            rows.append(tuple(mats))
-        object.__setattr__(self, "supers", tuple(rows))
+        object.__setattr__(self, "supers",
+                           _frozen_grid(self.supers, self.m, (self.n ** 4,) * 2, "superoperator"))
 
     def apply_to(self, rho: np.ndarray, x: int, y: int) -> np.ndarray:
-        """Output state of the (x, y) channel on one input density matrix."""
+        """Output state of the (x, y) channel on one input density matrix.
+
+        The input must be Hermitian, positive semidefinite and of unit trace
+        within tolerance.
+        """
         n2 = self.n ** 2
         A = linalg.as_matrix(rho, "rho")
         if A.shape[0] != n2:
             raise DimensionMismatchError(f"input state has dim {A.shape[0]}, expected {n2}")
-        return (self.supers[x][y] @ A.reshape(-1)).reshape(n2, n2)
+        t = linalg.tol(n2)
+        scale = max(1.0, float(np.linalg.norm(A)))
+        if not linalg.hermiticity_defect(A) <= t * scale:
+            raise DomainError("input is not hermitian within tolerance")
+        w = np.linalg.eigvalsh((A + dag(A)) / 2)
+        if not (w[0] >= -1e-9 * scale and abs(float(np.real(np.trace(A))) - 1.0) <= t):
+            raise DomainError("input is not a unit-trace PSD state within tolerance")
+        return (self.supers[x, y] @ A.reshape(-1)).reshape(n2, n2)
 
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Per-(x, y) 8-index tensors of operator-entry moments, each index of size n."""
+    """Operator-entry moments; ``tables[x, y]`` is an 8-index tensor, each index of size n."""
 
     n: int
     m: int
-    tables: tuple[tuple[np.ndarray, ...], ...]
+    tables: np.ndarray
 
     def __post_init__(self):
-        shape = (self.n,) * 8
-        if len(self.tables) != self.m or any(len(row) != self.m for row in self.tables):
-            raise DimensionMismatchError("tables must be an m x m grid")
-        rows = []
-        for row in self.tables:
-            mats = []
-            for T in row:
-                A = np.asarray(T, dtype=complex)
-                if A.shape != shape:
-                    raise DimensionMismatchError(f"moment tensor has shape {A.shape}, expected {shape}")
-                A = np.array(A)
-                A.setflags(write=False)
-                mats.append(A)
-            rows.append(tuple(mats))
-        object.__setattr__(self, "tables", tuple(rows))
+        object.__setattr__(self, "tables",
+                           _frozen_grid(self.tables, self.m, (self.n,) * 8, "moment tensor"))
 
     def conjugate_symmetry_defect(self) -> float:
         """Worst |T[i,j,l,k,p,r,t,s] - conj(T[l,k,i,j,t,s,p,r])| over the family."""
-        worst = 0.0
-        for row in self.tables:
-            for T in row:
-                worst = max(worst, float(np.max(np.abs(T - np.conj(T.transpose(2, 3, 0, 1, 6, 7, 4, 5))))))
-        return worst
+        T = self.tables
+        return float(np.max(np.abs(T - np.conj(T.transpose(0, 1, 4, 5, 2, 3, 8, 9, 6, 7)))))
 
     def contraction_defects(self) -> dict[str, float]:
         """Unitarity-contraction residuals.
@@ -121,20 +125,18 @@ class MomentTable:
         leg must reproduce a Kronecker delta times the single-leg moments;
         summing over both legs must give delta * delta.
         """
-        n = self.n
+        n, T = self.n, self.tables
         eye = np.eye(n)
-        d_u = d_v = d_uv = 0.0
-        for row in self.tables:
-            for T in row:
-                left = np.einsum("ijljprts->ilprts", T)
-                phi_v = np.einsum("iiprts->prts", left) / n
-                d_u = max(d_u, float(np.max(np.abs(left - np.einsum("il,prts->ilprts", eye, phi_v)))))
-                right = np.einsum("ijlkprtr->ijlkpt", T)
-                phi_u = np.einsum("ijlkpp->ijlk", right) / n
-                d_v = max(d_v, float(np.max(np.abs(right - np.einsum("ijlk,pt->ijlkpt", phi_u, eye)))))
-                both = np.einsum("ijljprtr->ilpt", T)
-                d_uv = max(d_uv, float(np.max(np.abs(both - np.einsum("il,pt->ilpt", eye, eye)))))
-        return {"u_leg": d_u, "v_leg": d_v, "both_legs": d_uv}
+        left = np.einsum("...ijljprts->...ilprts", T)
+        phi_v = np.einsum("...iiprts->...prts", left) / n
+        right = np.einsum("...ijlkprtr->...ijlkpt", T)
+        phi_u = np.einsum("...ijlkpp->...ijlk", right) / n
+        both = np.einsum("...ijljprtr->...ilpt", T)
+        return {
+            "u_leg": float(np.max(np.abs(left - np.einsum("il,...prts->...ilprts", eye, phi_v)))),
+            "v_leg": float(np.max(np.abs(right - np.einsum("...ijlk,pt->...ijlkpt", phi_u, eye)))),
+            "both_legs": float(np.max(np.abs(both - np.einsum("il,pt->ilpt", eye, eye)))),
+        }
 
 
 def _dims_and_tensor(model: TensorModel | CommutingModel):
@@ -173,14 +175,13 @@ def channel_direct(model: TensorModel | CommutingModel, max_n: int = DEFAULT_MAX
     per-unit sandwiches are evaluated in a single tensor contraction).
     """
     _check_model(model)
-    n = model.n
+    n, m = model.n, model.m
     _guard_n(n, max_n)
     dims, sigma = _dims_and_tensor(model)
     n4 = n ** 4
-    grid = []
-    for x in range(model.m):
-        row = []
-        for y in range(model.m):
+    supers = np.empty((m, m, n4, n4), dtype=complex)
+    for x in range(m):
+        for y in range(m):
             W = coupling_unitary(model, x, y)
             if isinstance(model, TensorModel):
                 W8 = W.reshape(dims + dims)
@@ -191,9 +192,8 @@ def channel_direct(model: TensorModel | CommutingModel, max_n: int = DEFAULT_MAX
                 W6 = W.reshape(dims + dims)
                 S = np.einsum("gedopr,eE,GEDOpR->orORgdGD",
                               np.conj(W6), sigma, W6, optimize=True)
-            row.append(S.reshape(n4, n4))
-        grid.append(tuple(row))
-    return ChannelFamily(n=n, m=model.m, supers=tuple(grid))
+            supers[x, y] = S.reshape(n4, n4)
+    return ChannelFamily(n=n, m=m, supers=supers)
 
 
 def moment_table(model: TensorModel | CommutingModel, max_n: int = DEFAULT_MAX_N) -> MomentTable:
@@ -204,34 +204,30 @@ def moment_table(model: TensorModel | CommutingModel, max_n: int = DEFAULT_MAX_N
     multiply inside the one algebra.
     """
     _check_model(model)
-    n = model.n
+    n, m = model.n, model.m
     _guard_n(n, max_n)
-    grid = []
+    tables = np.empty((m, m) + (n,) * 8, dtype=complex)
     if isinstance(model, TensorModel):
         sig4 = model.density().reshape(model.dA, model.dB, model.dA, model.dB)
-        for x in range(model.m):
+        for x in range(m):
             ub = model.u_blocks(x)
             PA = np.einsum("ijab,lkcb->ijlkac", ub, np.conj(ub))
-            row = []
-            for y in range(model.m):
+            for y in range(m):
                 vb = model.v_blocks(y)
                 PB = np.einsum("prab,tscb->prtsac", vb, np.conj(vb))
-                T = np.einsum("ijlkAa,prtsBb,abAB->ijlkprts", PA, PB, sig4, optimize=True)
-                row.append(T)
-            grid.append(tuple(row))
+                tables[x, y] = np.einsum("ijlkAa,prtsBb,abAB->ijlkprts", PA, PB, sig4,
+                                         optimize=True)
     else:
         sigma = model.density()
-        for x in range(model.m):
+        for x in range(m):
             ub = model.u_blocks(x)
             MA = np.einsum("ijab,lkcb->ijlkac", ub, np.conj(ub))
-            row = []
-            for y in range(model.m):
+            for y in range(m):
                 vb = model.v_blocks(y)
                 MB = np.einsum("prab,tscb->prtsac", vb, np.conj(vb))
-                T = np.einsum("ef,ijlkfg,prtsge->ijlkprts", sigma, MA, MB, optimize=True)
-                row.append(T)
-            grid.append(tuple(row))
-    return MomentTable(n=n, m=model.m, tables=tuple(grid))
+                tables[x, y] = np.einsum("ef,ijlkfg,prtsge->ijlkprts", sigma, MA, MB,
+                                         optimize=True)
+    return MomentTable(n=n, m=m, tables=tables)
 
 
 def channel_from_moments(table: MomentTable, max_n: int = DEFAULT_MAX_N,
@@ -242,45 +238,36 @@ def channel_from_moments(table: MomentTable, max_n: int = DEFAULT_MAX_N,
     L(rho)[(k,s),(j,r)] = sum_{i,l,p,t} T[i,j,l,k,p,r,t,s] rho[(l,t),(i,p)].
     Grossly conjugate-asymmetric tables are rejected.
     """
-    _guard_n(table.n, max_n)
+    n, m = table.n, table.m
+    _guard_n(n, max_n)
     defect = table.conjugate_symmetry_defect()
-    if defect > symmetry_tol:
+    if not defect <= symmetry_tol:
         raise DomainError(
             f"moment table conjugate-symmetry defect {defect:.3e} exceeds {symmetry_tol:.1e}"
         )
-    n4 = table.n ** 4
-    grid = tuple(
-        tuple(T.transpose(_T_TO_S).reshape(n4, n4) for T in row)
-        for row in table.tables
-    )
-    return ChannelFamily(n=table.n, m=table.m, supers=grid)
+    supers = table.tables.transpose(_T_TO_S).reshape(m, m, n ** 4, n ** 4)
+    return ChannelFamily(n=n, m=m, supers=supers)
 
 
 def moments_from_channel(channel: ChannelFamily) -> MomentTable:
-    """Read the moment table back off the superoperators.
+    """Read the moment table back off the superoperators, as a view of them.
 
     T[i,j,l,k,p,r,t,s] is the entry of L(E_li x E_tp) at output row (k, s),
-    column (j, r).
+    column (j, r).  The table shares memory with the (read-only) channel.
     """
-    n = channel.n
-    grid = tuple(
-        tuple(S.reshape((n,) * 8).transpose(_S_TO_T) for S in row)
-        for row in channel.supers
-    )
-    return MomentTable(n=n, m=channel.m, tables=grid)
+    n, m = channel.n, channel.m
+    table = object.__new__(MomentTable)  # skip the constructor's copy
+    for name, value in (("n", n), ("m", m),
+                        ("tables", channel.supers.reshape((m, m) + (n,) * 8).transpose(_S_TO_T))):
+        object.__setattr__(table, name, value)
+    return table
 
 
-def choi(channel: ChannelFamily) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Choi matrices J = sum_ab E_ab x L(E_ab) over the composite input index."""
-    n2 = channel.n ** 2
-    out = []
-    for row in channel.supers:
-        mats = []
-        for S in row:
-            S4 = S.reshape(n2, n2, n2, n2)  # (out_row, out_col, in_row, in_col)
-            mats.append(S4.transpose(2, 0, 3, 1).reshape(n2 * n2, n2 * n2))
-        out.append(tuple(mats))
-    return tuple(out)
+def choi(channel: ChannelFamily) -> np.ndarray:
+    """Choi matrices J = sum_ab E_ab x L(E_ab) over the composite input index, (m, m, n^4, n^4)."""
+    m, n2 = channel.m, channel.n ** 2
+    S = channel.supers.reshape(m, m, n2, n2, n2, n2)  # (x, y, out_row, out_col, in_row, in_col)
+    return S.transpose(0, 1, 4, 2, 5, 3).reshape(m, m, n2 * n2, n2 * n2)
 
 
 @dataclass(frozen=True)
@@ -307,34 +294,10 @@ class CPTPReport:
 
 def cptp_report(channel: ChannelFamily) -> CPTPReport:
     """Audit every member: min Choi eigenvalue and max_ab |Tr L(E_ab) - delta_ab|."""
-    n2 = channel.n ** 2
-    min_eig = np.inf
-    tp = 0.0
-    eye = np.eye(n2)
-    for row_j, row_s in zip(choi(channel), channel.supers):
-        for J, S in zip(row_j, row_s):
-            w = np.linalg.eigvalsh((J + dag(J)) / 2)
-            min_eig = min(min_eig, float(w[0]))
-            # Tr L(E_ab) = sum_u S[(u,u),(a,b)]
-            traces = S.reshape(n2, n2, n2 * n2).trace(axis1=0, axis2=1).reshape(n2, n2)
-            tp = max(tp, float(np.max(np.abs(traces - eye))))
-    return CPTPReport(min_choi_eigenvalue=float(min_eig), trace_defect=tp)
-
-
-def apply(channel: ChannelFamily, rho: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Image family {L_xy(rho)} of one input state under every member channel."""
-    n2 = channel.n ** 2
-    A = linalg.as_matrix(rho, "rho")
-    if A.shape[0] != n2:
-        raise DimensionMismatchError(f"input state has dim {A.shape[0]}, expected {n2}")
-    t = linalg.tol(n2)
-    scale = max(1.0, float(np.linalg.norm(A)))
-    if linalg.hermiticity_defect(A) > t * scale:
-        raise DomainError("input is not hermitian within tolerance")
-    w = np.linalg.eigvalsh((A + dag(A)) / 2)
-    if w[0] < -1e-9 * scale or abs(float(np.real(np.trace(A))) - 1.0) > t:
-        raise DomainError("input is not a unit-trace PSD state within tolerance")
-    return tuple(
-        tuple(channel.apply_to(A, x, y) for y in range(channel.m))
-        for x in range(channel.m)
-    )
+    m, n2 = channel.m, channel.n ** 2
+    J = choi(channel)
+    w = np.linalg.eigvalsh((J + np.conj(np.swapaxes(J, -1, -2))) / 2)
+    # Tr L(E_ab) = sum_u S[(u,u),(a,b)]
+    traces = channel.supers.reshape(m, m, n2, n2, n2 * n2).trace(axis1=2, axis2=3)
+    return CPTPReport(min_choi_eigenvalue=float(np.min(w[..., 0])),
+                      trace_defect=float(np.max(np.abs(traces.reshape(m, m, n2, n2) - np.eye(n2)))))

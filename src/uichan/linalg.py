@@ -56,13 +56,6 @@ def dag(M: np.ndarray) -> np.ndarray:
     return np.conj(M).T
 
 
-def matrix_unit(d: int, i: int, j: int) -> np.ndarray:
-    """E_ij: single 1 at row i, column j (0-based)."""
-    E = np.zeros((d, d), dtype=complex)
-    E[i, j] = 1.0
-    return E
-
-
 def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Kronecker product; out[(i*dB+k),(j*dB+l)] = A[i,j] * B[k,l]."""
     return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
@@ -110,28 +103,6 @@ def unitarity_defect(M: np.ndarray) -> float:
     """Frobenius norm of M^dag M - I."""
     A = as_matrix(M)
     return float(np.linalg.norm(dag(A) @ A - np.eye(A.shape[0])))
-
-
-def is_hermitian(M: np.ndarray, tol_abs: float | None = None) -> bool:
-    A = as_matrix(M)
-    t = tol(A.shape[0]) if tol_abs is None else tol_abs
-    return hermiticity_defect(A) <= t * max(1.0, float(np.linalg.norm(A)))
-
-
-def is_unitary(M: np.ndarray, tol_abs: float | None = None) -> bool:
-    A = as_matrix(M)
-    t = tol(A.shape[0]) if tol_abs is None else tol_abs
-    return unitarity_defect(A) <= t * max(1.0, float(np.linalg.norm(A)))
-
-
-def is_psd(M: np.ndarray, tol_abs: float | None = None) -> bool:
-    A = as_matrix(M)
-    t = tol(A.shape[0]) if tol_abs is None else tol_abs
-    scale = max(1.0, float(np.linalg.norm(A)))
-    if hermiticity_defect(A) > t * scale:
-        return False
-    w = np.linalg.eigvalsh((A + dag(A)) / 2)
-    return bool(w[0] >= -t * scale)
 
 
 def herm_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

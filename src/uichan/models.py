@@ -78,12 +78,6 @@ def _state_defect(state: np.ndarray) -> float:
     return _worst([herm, abs(float(np.real(np.trace(state))) - 1.0), 0.0, -float(w[0])])
 
 
-def _as_density(state: np.ndarray) -> np.ndarray:
-    if state.ndim == 1:
-        return np.outer(state, np.conj(state))
-    return np.asarray(state)
-
-
 @dataclass(frozen=True)
 class PVMFamily:
     """m projective measurements with n outcomes on a d-dimensional system.
@@ -130,8 +124,39 @@ class PVMFamily:
         _require_within("PVM family", self.defects(), t)
 
 
+class _Model:
+    """State handling and defects shared by tensor and commuting models."""
+
+    def _freeze(self, state_dim: int, u_dim: int, v_dim: int) -> None:
+        """Replace state, U and V by checked read-only complex copies."""
+        object.__setattr__(self, "state", _freeze_state(self.state, state_dim, "state"))
+        for name, dim in (("U", u_dim), ("V", v_dim)):
+            mats = getattr(self, name)
+            if len(mats) != self.m:
+                raise DimensionMismatchError(f"{name} must hold {self.m} unitaries")
+            frozen = []
+            for M in mats:
+                A = linalg.as_matrix(M, name)
+                if A.shape[0] != dim:
+                    raise DimensionMismatchError(f"{name} has dim {A.shape[0]}, expected {dim}")
+                frozen.append(_frozen(A, name))
+            object.__setattr__(self, name, tuple(frozen))
+
+    @property
+    def state_is_vector(self) -> bool:
+        return self.state.ndim == 1
+
+    def density(self) -> np.ndarray:
+        if self.state_is_vector:
+            return np.outer(self.state, np.conj(self.state))
+        return np.asarray(self.state)
+
+    def defects(self) -> dict[str, float]:
+        return {"unitarity": _worst_unitarity(self.U + self.V), "state": _state_defect(self.state)}
+
+
 @dataclass(frozen=True)
-class TensorModel:
+class TensorModel(_Model):
     """State on H_A x H_B plus per-setting coupling unitaries U[x], V[y]."""
 
     n: int
@@ -145,24 +170,7 @@ class TensorModel:
     def __post_init__(self):
         if min(self.n, self.m, self.dA, self.dB) < 1:
             raise DimensionMismatchError("n, m, dA, dB must be positive")
-        object.__setattr__(self, "state", _freeze_state(self.state, self.dA * self.dB, "state"))
-        for name, mats, dim in (("U", self.U, self.n * self.dA), ("V", self.V, self.dB * self.n)):
-            if len(mats) != self.m:
-                raise DimensionMismatchError(f"{name} must hold {self.m} unitaries")
-            frozen = []
-            for M in mats:
-                A = linalg.as_matrix(M, name)
-                if A.shape[0] != dim:
-                    raise DimensionMismatchError(f"{name} has dim {A.shape[0]}, expected {dim}")
-                frozen.append(_frozen(A, name))
-            object.__setattr__(self, name, tuple(frozen))
-
-    @property
-    def state_is_vector(self) -> bool:
-        return self.state.ndim == 1
-
-    def density(self) -> np.ndarray:
-        return _as_density(self.state)
+        self._freeze(self.dA * self.dB, self.n * self.dA, self.dB * self.n)
 
     def u_blocks(self, x: int) -> np.ndarray:
         """Operator entries of U[x] as an (n, n, dA, dA) array (ancilla-major storage)."""
@@ -172,16 +180,13 @@ class TensorModel:
         """Operator entries of V[y] as an (n, n, dB, dB) array (ancilla-minor storage)."""
         return self.V[y].reshape(self.dB, self.n, self.dB, self.n).transpose(1, 3, 0, 2)
 
-    def defects(self) -> dict[str, float]:
-        return {"unitarity": _worst_unitarity(self.U + self.V), "state": _state_defect(self.state)}
-
     def check(self, tol_abs: float | None = None) -> None:
         t = linalg.tol(max(self.n * self.dA, self.dB * self.n)) if tol_abs is None else tol_abs
         _require_within("tensor model", self.defects(), t)
 
 
 @dataclass(frozen=True)
-class CommutingModel:
+class CommutingModel(_Model):
     """State on a single H plus coupling unitaries with commuting operator entries."""
 
     n: int
@@ -194,25 +199,7 @@ class CommutingModel:
     def __post_init__(self):
         if min(self.n, self.m, self.d) < 1:
             raise DimensionMismatchError("n, m, d must be positive")
-        object.__setattr__(self, "state", _freeze_state(self.state, self.d, "state"))
-        dim = self.n * self.d
-        for name, mats in (("U", self.U), ("V", self.V)):
-            if len(mats) != self.m:
-                raise DimensionMismatchError(f"{name} must hold {self.m} unitaries")
-            frozen = []
-            for M in mats:
-                A = linalg.as_matrix(M, name)
-                if A.shape[0] != dim:
-                    raise DimensionMismatchError(f"{name} has dim {A.shape[0]}, expected {dim}")
-                frozen.append(_frozen(A, name))
-            object.__setattr__(self, name, tuple(frozen))
-
-    @property
-    def state_is_vector(self) -> bool:
-        return self.state.ndim == 1
-
-    def density(self) -> np.ndarray:
-        return _as_density(self.state)
+        self._freeze(self.d, self.n * self.d, self.n * self.d)
 
     def _blocks(self, M: np.ndarray) -> np.ndarray:
         return M.reshape(self.n, self.d, self.n, self.d).transpose(0, 2, 1, 3)
@@ -222,9 +209,6 @@ class CommutingModel:
 
     def v_blocks(self, y: int) -> np.ndarray:
         return self._blocks(self.V[y])
-
-    def defects(self) -> dict[str, float]:
-        return {"unitarity": _worst_unitarity(self.U + self.V), "state": _state_defect(self.state)}
 
     def check(self, tol_abs: float | None = None) -> None:
         t = linalg.tol(self.n * self.d) if tol_abs is None else tol_abs
@@ -338,7 +322,8 @@ def _fourier_unitaries(projectors: tuple[np.ndarray, ...], n: int) -> list[np.nd
     """u_{a'} = sum_a exp(2 pi i a a'/n) P_a for labels a, a' = 1..n.
 
     Phases are evaluated at (a * a') mod n so that u_n is exactly the
-    completeness sum of the projectors.
+    completeness sum of the projectors.  Raises if any u_{a'} is not unitary
+    within tol(d), which means the projectors do not form a PVM.
     """
     d = projectors[0].shape[0]
     out = []
@@ -346,6 +331,9 @@ def _fourier_unitaries(projectors: tuple[np.ndarray, ...], n: int) -> list[np.nd
         u = np.zeros((d, d), dtype=complex)
         for a in range(1, n + 1):
             u += np.exp(2j * np.pi * ((a * ap) % n) / n) * projectors[a - 1]
+        if not linalg.unitarity_defect(u) <= linalg.tol(d):
+            raise InvalidModelError("Fourier combination of the projectors is not unitary; "
+                                    "the PVM is invalid")
         out.append(u)
     return out
 
@@ -366,21 +354,13 @@ def diagonal_fourier_lift(alice: PVMFamily, bob: PVMFamily, state: np.ndarray) -
     dA, dB = alice.d, bob.d
     U_list, V_list = [], []
     for x in range(m):
-        us = _fourier_unitaries(alice.projectors[x], n)
-        for u in us:
-            if linalg.unitarity_defect(u) > linalg.tol(dA):
-                raise InvalidModelError("lifted block is not unitary; input PVM is invalid")
         U = np.zeros((n * dA, n * dA), dtype=complex)
-        for ap, u in enumerate(us):
+        for ap, u in enumerate(_fourier_unitaries(alice.projectors[x], n)):
             U[ap * dA:(ap + 1) * dA, ap * dA:(ap + 1) * dA] = u
         U_list.append(U)
     for y in range(m):
-        vs = _fourier_unitaries(bob.projectors[y], n)
-        for v in vs:
-            if linalg.unitarity_defect(v) > linalg.tol(dB):
-                raise InvalidModelError("lifted block is not unitary; input PVM is invalid")
         V = np.zeros((dB * n, dB * n), dtype=complex)
-        for bp, v in enumerate(vs):
+        for bp, v in enumerate(_fourier_unitaries(bob.projectors[y], n)):
             V[bp::n, bp::n] = v
         V_list.append(V)
     return TensorModel(n=n, m=m, dA=dA, dB=dB, state=state, U=tuple(U_list), V=tuple(V_list))

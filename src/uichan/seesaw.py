@@ -24,7 +24,7 @@ from .bell import Behaviour, bell_value, behaviour_from_channel
 from .channels import channel_direct
 from .errors import DimensionMismatchError, PipelineInconsistencyError
 from .linalg import dag
-from .models import PVMFamily, TensorModel, diagonal_fourier_lift
+from .models import PVMFamily, TensorModel, diagonal_fourier_lift, random_pvm_family
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,6 @@ class SeesawResult:
     exact_updates: bool
     restart_index: int
     config: SeesawConfig
-
-
-def _random_pvm(rng: np.random.Generator, d: int, n: int) -> list[np.ndarray]:
-    Q = linalg.haar_unitary_from(rng, d)
-    return [Q[:, a::n] @ dag(Q[:, a::n]) for a in range(n)]
 
 
 def _bell_operator(f: np.ndarray, P: list[list[np.ndarray]], Q: list[list[np.ndarray]],
@@ -124,8 +119,8 @@ def _evaluate(f: np.ndarray, P, Q, psi: np.ndarray, dA: int, dB: int) -> float:
 
 def _seesaw_once(f: np.ndarray, cfg: SeesawConfig, rng: np.random.Generator):
     n, m, dA, dB = cfg.n, cfg.m, cfg.dA, cfg.dB
-    P = [_random_pvm(rng, dA, n) for _ in range(m)]
-    Q = [_random_pvm(rng, dB, n) for _ in range(m)]
+    P = random_pvm_family(dA, m, n, rng=rng).projectors
+    Q = random_pvm_family(dB, m, n, rng=rng).projectors
     psi = linalg.haar_state_vector(rng, dA * dB)
     trace: list[float] = []
     prev = -np.inf

@@ -9,8 +9,8 @@ from uichan.bell import (Behaviour, behaviour_direct, behaviour_from_channel, be
                          chsh_functional, chsh_optimal_strategy, diagonal_moment_behaviour,
                          fourier_coeffs, lastcond_contraction, normalization_functional,
                          sub_povm_total_bound, unitaries_from_pvm)
-from uichan.channels import channel_direct
-from uichan.errors import DimensionMismatchError, InvalidModelError
+from uichan.channels import channel_direct, moments_from_channel
+from uichan.errors import DimensionMismatchError, DomainError, InvalidModelError
 from uichan.models import (PVMFamily, diagonal_fourier_lift, random_pvm_family,
                            random_tensor_model)
 
@@ -18,7 +18,8 @@ CHSH_OPTIMUM = (2 + np.sqrt(2)) / 4
 
 
 def computational_pvm(d, m):
-    rows = tuple(tuple(linalg.matrix_unit(d, a, a) for a in range(d)) for _ in range(m))
+    basis = np.eye(d)
+    rows = tuple(tuple(np.outer(basis[a], basis[a]) for a in range(d)) for _ in range(m))
     return PVMFamily(d=d, m=m, n=d, projectors=rows)
 
 
@@ -207,6 +208,17 @@ class TestLastcondContraction:
                             got = lastcond_contraction(fam, a, b, x, y)
                             assert abs(got - q[a - 1, b - 1, x - 1, y - 1]) <= 1e-12
 
+    def test_batched_table_equals_per_cell_contraction(self):
+        for n in (2, 3, 4):
+            c = fourier_coeffs(n).c
+            fam = channel_direct(random_tensor_model(n, 2, 2, 1, seed=85 + n))
+            tables = moments_from_channel(fam).tables
+            q = diagonal_moment_behaviour(fam)
+            for x, y in np.ndindex(2, 2):
+                tdiag = np.einsum("jjkkrrss->jkrs", tables[x, y])
+                cell = np.einsum("aj,ak,br,bs,jkrs->ab", c, np.conj(c), c, np.conj(c), tdiag)
+                assert np.array_equal(q[:, :, x, y], cell)
+
     def test_n1_always_one(self):
         tm = random_tensor_model(1, 1, 2, 2, seed=90)
         fam = channel_direct(tm)
@@ -243,3 +255,10 @@ class TestBehaviourType:
     def test_shape_error(self):
         with pytest.raises(DimensionMismatchError):
             Behaviour(n=2, m=2, p=np.zeros((2, 2)))
+
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf):
+            p = np.full((2, 2, 2, 2), 0.25)
+            p[1, 0, 0, 1] = bad
+            with pytest.raises(DomainError):
+                Behaviour(n=2, m=2, p=p)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from uichan import linalg
-from uichan.channels import (ChannelFamily, MomentTable, apply, channel_direct,
+from uichan.channels import (ChannelFamily, MomentTable, channel_direct,
                              channel_from_moments, choi, cptp_report, moment_table,
                              moments_from_channel)
 from uichan.errors import DimensionMismatchError, DomainError, InvalidModelError
@@ -25,8 +27,7 @@ def swap_model(n, seed=0):
 
 
 def family_max_diff(a: ChannelFamily, b: ChannelFamily) -> float:
-    return max(float(np.max(np.abs(a.supers[x][y] - b.supers[x][y])))
-               for x in range(a.m) for y in range(a.m))
+    return float(np.max(np.abs(a.supers - b.supers)))
 
 
 def delta_tensor(n):
@@ -199,6 +200,22 @@ class TestChoiAndAudit:
         J = choi(channel_direct(model))[0][0]
         assert_allclose(J, linalg.kron(np.eye(4), rho_target), atol=1e-12)
 
+    def test_audit_equals_per_member_loop(self):
+        # one batched eigvalsh and trace give bit for bit what one call per member gives
+        for seed, (n, m) in enumerate([(1, 2), (2, 3), (3, 2), (4, 1)]):
+            kind = "commuting" if seed % 2 else "tensor"
+            fam = channel_direct(random_model(kind, n, m, 2, 2, state="density", seed=seed))
+            n2 = n * n
+            low, tp = np.inf, 0.0
+            for x, y in np.ndindex(m, m):
+                S = fam.supers[x, y]
+                J = S.reshape(n2, n2, n2, n2).transpose(2, 0, 3, 1).reshape(n2 * n2, n2 * n2)
+                low = min(low, float(np.linalg.eigvalsh((J + J.conj().T) / 2)[0]))
+                traces = S.reshape(n2, n2, n2 * n2).trace(axis1=0, axis2=1).reshape(n2, n2)
+                tp = max(tp, float(np.max(np.abs(traces - np.eye(n2)))))
+            rep = cptp_report(fam)
+            assert (rep.min_choi_eigenvalue, rep.trace_defect) == (low, tp)
+
     def test_random_models_pass_audit(self):
         for seed in range(8):
             kind = "tensor" if seed % 2 == 0 else "commuting"
@@ -214,29 +231,87 @@ class TestApply:
         fam = channel_direct(identity_model(2, 2, 2, seed=41))
         rng = linalg.rng_from_seed(42)
         rho = linalg.wishart_density(rng, 4)
-        outs = apply(fam, rho)
-        assert_allclose(outs[0][0], rho, atol=1e-12)
+        assert_allclose(fam.apply_to(rho, 0, 0), rho, atol=1e-12)
 
     def test_swap_family_constant(self):
         model, rho_target = swap_model(2, seed=43)
         fam = channel_direct(model)
         rng = linalg.rng_from_seed(44)
-        outs = apply(fam, linalg.wishart_density(rng, 4))
-        assert_allclose(outs[0][0], rho_target, atol=1e-12)
+        assert_allclose(fam.apply_to(linalg.wishart_density(rng, 4), 0, 0), rho_target, atol=1e-12)
 
     def test_maximally_mixed_outputs_unit_trace(self):
         tm = random_tensor_model(2, 2, 2, 2, seed=45)
-        outs = apply(channel_direct(tm), np.eye(4) / 4)
-        for row in outs:
-            for out in row:
-                assert abs(np.trace(out) - 1.0) <= 1e-12
+        fam = channel_direct(tm)
+        for x, y in np.ndindex(2, 2):
+            assert abs(np.trace(fam.apply_to(np.eye(4) / 4, x, y)) - 1.0) <= 1e-12
 
     def test_rejects_non_state(self):
         fam = channel_direct(identity_model(2, 2, 2))
         with pytest.raises(DomainError):
-            apply(fam, np.diag([1.0, 1.0, -0.5, -0.5]))
+            fam.apply_to(np.diag([1.0, 1.0, -0.5, -0.5]), 0, 0)
+        with pytest.raises(DomainError):
+            fam.apply_to(np.eye(4) / 2, 0, 0)  # trace 2
+        with pytest.raises(DomainError):
+            fam.apply_to(np.full((4, 4), np.nan), 0, 0)
         with pytest.raises(DimensionMismatchError):
-            apply(fam, np.eye(3) / 3)
+            fam.apply_to(np.eye(3) / 3, 0, 0)
+
+
+class TestFamilyArrays:
+    def test_one_read_only_array_each(self):
+        tm = random_tensor_model(2, 2, 2, 2, seed=50)
+        fam, tab = channel_direct(tm), moment_table(tm)
+        assert fam.supers.shape == (2, 2, 16, 16) and tab.tables.shape == (2, 2) + (2,) * 8
+        for arr in (fam.supers, tab.tables, moments_from_channel(fam).tables):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0, 0, 0] = 1.0
+        assert len(fam.supers) == 2 and fam.supers[1][0].shape == (16, 16)
+
+    def test_moments_from_channel_is_a_view(self):
+        fam = channel_direct(random_tensor_model(2, 2, 2, 3, seed=51))
+        assert np.shares_memory(fam.supers, moments_from_channel(fam).tables)
+
+    def test_constructors_copy_caller_arrays(self):
+        S = np.eye(16, dtype=complex)[None, None]
+        fam = ChannelFamily(n=2, m=1, supers=S)
+        S[0, 0, 0, 0] = 5.0
+        assert fam.supers[0, 0, 0, 0] == 1.0
+        assert fam.supers.base is not S and fam.supers.flags.owndata
+
+    @pytest.mark.parametrize("grid", [
+        ((np.eye(16),),) * 2,                            # 2 x 1, not m x m
+        ((np.eye(16), np.eye(16)), (np.eye(16),)),       # ragged row
+        ((np.eye(16),), (np.eye(16),), (np.eye(16),)),   # 3 x 1
+        ((np.eye(16), np.eye(16)), (np.eye(16), np.eye(9))),
+        ((np.eye(9), np.eye(9)), (np.eye(9), np.eye(9))),
+        ((np.ones(16), np.ones(16)), (np.ones(16), np.ones(16))),
+    ])
+    def test_channel_family_rejects_bad_grid(self, grid):
+        with pytest.raises(DimensionMismatchError):
+            ChannelFamily(n=2, m=2, supers=grid)
+
+    @pytest.mark.parametrize("grid", [
+        ((delta_tensor(2),),) * 2,
+        ((delta_tensor(2), delta_tensor(2)), (delta_tensor(2),)),
+        ((delta_tensor(2), delta_tensor(2)), (delta_tensor(2), delta_tensor(3))),
+        ((np.zeros((2,) * 7),) * 2,) * 2,
+    ])
+    def test_moment_table_rejects_bad_grid(self, grid):
+        with pytest.raises(DimensionMismatchError):
+            MomentTable(n=2, m=2, tables=grid)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), m=st.integers(1, 2), dA=st.integers(1, 3), dB=st.integers(1, 3),
+           kind=st.sampled_from(["tensor", "commuting"]),
+           state=st.sampled_from(["vector", "density"]), seed=st.integers(0, 2 ** 16))
+    def test_routes_agree_audit_passes_and_view_round_trips(self, n, m, dA, dB, kind, state,
+                                                            seed):
+        model = random_model(kind, n, m, dA, dB, state=state, seed=seed)
+        fam = channel_direct(model)
+        assert family_max_diff(fam, channel_from_moments(moment_table(model))) <= 1e-10
+        assert cptp_report(fam).accepted
+        assert np.array_equal(channel_from_moments(moments_from_channel(fam)).supers, fam.supers)
 
 
 class TestEmbeddingInvariance:

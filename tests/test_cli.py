@@ -56,6 +56,23 @@ class TestGenAndVerify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_overflowing_entries_record_null_defect(self, model_path, tmp_path, capsys):
+        # finite entries whose products overflow give a NaN unitarity defect
+        doc = read_payload(model_path)
+        doc["U"][0]["re"] = [1e200] * len(doc["U"][0]["re"])
+        bad = tmp_path / "overflow.json"
+        bad.write_text(json.dumps(doc))
+        report = tmp_path / "report.json"
+        with np.errstate(all="ignore"):
+            assert main(["verify", "-i", str(bad), "-o", str(report)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        payload = read_payload(report)
+        unitarity = next(c for c in payload["checks"] if c["name"] == "unitarity")
+        assert unitarity["defect"] is None and unitarity["pass"] is False
+        assert not payload["pass"]
+        assert payload["skipped"] == ["dual_formula", "choi_psd", "trace_preserving",
+                                      "embedding_invariance"]
+
     @pytest.mark.parametrize("indent", [2, -1])
     def test_output_is_the_dumped_document(self, model_path, tmp_path, indent):
         out = tmp_path / "report.json"
@@ -101,9 +118,7 @@ class TestChannelCommand:
                      "-o", str(m_path)]) == 0
         cd = serialize.channel_from_json(read_payload(d_path))
         cm = serialize.channel_from_json(read_payload(m_path))
-        diff = max(float(np.max(np.abs(cd.supers[x][y] - cm.supers[x][y])))
-                   for x in range(2) for y in range(2))
-        assert diff <= 1e-10
+        assert np.max(np.abs(cd.supers - cm.supers)) <= 1e-10
 
     def test_audit_flag(self, model_path, tmp_path, capsys):
         out = tmp_path / "c.json"

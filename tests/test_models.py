@@ -14,7 +14,8 @@ OVERFLOWING = np.array([[1e200, 1e200], [1e200, -1e200]])
 
 
 def computational_pvm(d, m):
-    rows = tuple(tuple(linalg.matrix_unit(d, a, a) for a in range(d)) for _ in range(m))
+    basis = np.eye(d)
+    rows = tuple(tuple(np.outer(basis[a], basis[a]) for a in range(d)) for _ in range(m))
     return PVMFamily(d=d, m=m, n=d, projectors=rows)
 
 
@@ -246,6 +247,16 @@ class TestDiagonalFourierLift:
     def test_mismatched_families(self):
         with pytest.raises(DimensionMismatchError):
             diagonal_fourier_lift(computational_pvm(2, 1), computational_pvm(3, 1), np.zeros(6))
+
+    def test_non_pvm_rejected(self):
+        # half-identities sum to I but are not projectors: u_1 = -I/2 + I/2 = 0
+        half = PVMFamily(d=2, m=1, n=2, projectors=((np.eye(2) / 2, np.eye(2) / 2),))
+        state = np.zeros(4, dtype=complex)
+        state[0] = 1.0
+        with pytest.raises(InvalidModelError, match="not unitary"):
+            diagonal_fourier_lift(half, computational_pvm(2, 1), state)
+        with pytest.raises(InvalidModelError, match="not unitary"):
+            diagonal_fourier_lift(computational_pvm(2, 1), half, state)
 
 
 class TestRandomModel:

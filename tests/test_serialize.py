@@ -70,15 +70,28 @@ class TestChannelAndBehaviour:
     def test_channel_round_trip(self):
         fam = channel_direct(random_tensor_model(2, 2, 2, 2, seed=11))
         back = serialize.channel_from_json(serialize.channel_to_json(fam))
-        for x in range(2):
-            for y in range(2):
-                assert np.array_equal(back.supers[x][y], fam.supers[x][y])
+        assert np.array_equal(back.supers, fam.supers)
+
+    def test_ragged_channel_grid(self):
+        doc = serialize.channel_to_json(channel_direct(random_tensor_model(2, 2, 2, 2, seed=12)))
+        doc["super"][1] = doc["super"][1][:1]
+        with pytest.raises(SchemaError):
+            serialize.channel_from_json(doc)
+        doc["super"] = doc["super"][:1]
+        with pytest.raises(SchemaError):
+            serialize.channel_from_json(doc)
 
     def test_behaviour_round_trip(self):
         p = np.full((2, 2, 2, 2), 1.0 / 4)
         b = Behaviour(n=2, m=2, p=p)
         back = serialize.behaviour_from_json(serialize.behaviour_to_json(b))
         assert np.array_equal(back.p, b.p)
+
+    def test_behaviour_with_nan_rejected(self):
+        doc = serialize.behaviour_to_json(Behaviour(n=2, m=2, p=np.full((2, 2, 2, 2), 0.25)))
+        doc["p"][0][1][1][0] = float("nan")
+        with pytest.raises(SchemaError):
+            serialize.behaviour_from_json(doc)
 
     def test_table_shared_schema(self):
         doc = serialize.table_to_json(2, 2, np.zeros((2, 2, 2, 2)))
