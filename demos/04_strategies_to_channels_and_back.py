@@ -11,7 +11,7 @@ import numpy as np
 
 from uichan import (behaviour_direct, behaviour_from_channel, bell_value, channel_direct,
                     chsh_functional, chsh_optimal_strategy, diagonal_fourier_lift,
-                    lastcond_contraction, sub_povm_total_bound)
+                    diagonal_moment_behaviour, sub_povm_total_bound)
 
 alice, bob, psi = chsh_optimal_strategy()
 print("strategy: optimal CHSH qubit measurements on the maximally entangled pair")
@@ -34,6 +34,6 @@ print(f"CHSH value via channel extraction: {bell_value(extracted, f):.10f}")
 print(f"CHSH value via Born rule:          {bell_value(born, f):.10f}")
 print(f"quantum optimum (2 + sqrt 2)/4:    {(2 + np.sqrt(2)) / 4:.10f}")
 
-raw = lastcond_contraction(channel, 1, 1, 1, 1)
-print(f"raw contraction at (a,b,x,y) = (1,1,1,1): {raw.real:.10f} "
+raw = diagonal_moment_behaviour(channel)[0, 0, 0, 0]
+print(f"raw diagonal-moment value at (a,b,x,y) = (1,1,1,1): {raw.real:.10f} "
       f"(= p(11|11) = {born.p[0, 0, 0, 0]:.10f} for a lifted strategy)")

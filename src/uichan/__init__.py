@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .bell import (Behaviour, FourierCoeffs, behaviour_direct, behaviour_from_channel,
                    bell_value, chsh_functional, chsh_optimal_strategy,
-                   diagonal_moment_behaviour, fourier_coeffs, lastcond_contraction,
-                   normalization_functional, sub_povm_total_bound, unitaries_from_pvm)
+                   diagonal_moment_behaviour, fourier_coeffs, normalization_functional,
+                   sub_povm_total_bound, unitaries_from_pvm)
 from .channels import (ChannelFamily, CPTPReport, MomentTable, channel_direct,
                        channel_from_moments, choi, cptp_report, moment_table,
                        moments_from_channel)
@@ -29,8 +29,8 @@ __all__ = [
     "__version__",
     "Behaviour", "FourierCoeffs", "behaviour_direct", "behaviour_from_channel",
     "bell_value", "chsh_functional", "chsh_optimal_strategy",
-    "diagonal_moment_behaviour", "fourier_coeffs", "lastcond_contraction",
-    "normalization_functional", "sub_povm_total_bound", "unitaries_from_pvm",
+    "diagonal_moment_behaviour", "fourier_coeffs", "normalization_functional",
+    "sub_povm_total_bound", "unitaries_from_pvm",
     "ChannelFamily", "CPTPReport", "MomentTable", "channel_direct",
     "channel_from_moments", "choi", "cptp_report", "moment_table",
     "moments_from_channel",

@@ -51,14 +51,14 @@ def fourier_coeffs(n: int) -> FourierCoeffs:
     return FourierCoeffs(n=n, c=c)
 
 
-def unitaries_from_pvm(family: PVMFamily) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Per-setting unitaries u^x_{a'} = sum_a exp(2 pi i a a'/n) P_{a|x}.
+def unitaries_from_pvm(family: PVMFamily) -> np.ndarray:
+    """Per-setting unitaries u^x_{a'} = sum_a exp(2 pi i a a'/n) P_{a|x}, as (m, n, d, d).
 
     The last unitary (a' = n) is the completeness sum, i.e. the identity;
     every projector is recovered as P_{a|x} = sum_{a'} c[a,a'] u^x_{a'}.
     """
     family.check()
-    return tuple(tuple(_fourier_unitaries(row, family.n)) for row in family.projectors)
+    return _fourier_unitaries(family.projectors, family.n)
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,14 @@ class Behaviour:
             raise InvalidModelError(f"behaviour defects {d} exceed tolerances")
 
 
+def _product_projectors(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Every P[x, a] x Q[y, b] of two (m, n, d, d) stacks, as one array indexed [x, y, a, b]."""
+    m, n, dA, _ = P.shape
+    dB = Q.shape[-1]
+    K = P[:, None, :, None, :, None, :, None] * Q[None, :, None, :, None, :, None, :]
+    return K.reshape(m, m, n, n, dA * dB, dA * dB)
+
+
 def behaviour_direct(alice: PVMFamily, bob: PVMFamily, state: np.ndarray) -> Behaviour:
     """Born-rule behaviour p(ab|xy) = <P_{a|x} x Q_{b|y}> in the given joint state."""
     if alice.n != bob.n or alice.m != bob.m:
@@ -107,15 +115,9 @@ def behaviour_direct(alice: PVMFamily, bob: PVMFamily, state: np.ndarray) -> Beh
         rho = linalg.as_matrix(s, "state")
         if rho.shape[0] != d:
             raise DimensionMismatchError(f"state has dim {rho.shape[0]}, expected {d}")
-    n, m = alice.n, alice.m
-    p = np.zeros((n, n, m, m))
-    for x in range(m):
-        for y in range(m):
-            for a in range(n):
-                for b in range(n):
-                    op = linalg.kron(alice.projectors[x][a], bob.projectors[y][b])
-                    p[a, b, x, y] = float(np.real(np.trace(rho @ op)))
-    return Behaviour(n=n, m=m, p=p)
+    ops = _product_projectors(alice.projectors, bob.projectors)
+    p = np.real(np.trace(rho @ ops, axis1=-2, axis2=-1))  # (x, y, a, b)
+    return Behaviour(n=alice.n, m=alice.m, p=p.transpose(2, 3, 0, 1))
 
 
 def diagonal_moment_behaviour(channel: ChannelFamily) -> np.ndarray:
@@ -173,38 +175,19 @@ def bell_value(behaviour: Behaviour, functional: np.ndarray) -> float:
     return float(np.sum(f * behaviour.p))
 
 
-def lastcond_contraction(channel: ChannelFamily, a: int, b: int, x: int, y: int) -> complex:
-    """Fourier contraction of the matrix-unit responses of one member channel.
-
-    sum_{k,j,s,r} c_aj conj(c_ak) c_br conj(c_bs) [L_xy(E_kj x E_sr)]_{(k,s),(j,r)}
-    with 1-based labels a, b (outcomes) and x, y (settings).  Equals the raw
-    diagonal-moment value q(ab|xy).
-    """
-    n, m = channel.n, channel.m
-    if not (1 <= a <= n and 1 <= b <= n and 1 <= x <= m and 1 <= y <= m):
-        raise DimensionMismatchError(f"labels (a={a}, b={b}, x={x}, y={y}) out of range")
-    c = fourier_coeffs(n).c
-    S = channel.supers[x - 1, y - 1]
-    # the needed response entries sit on the superoperator diagonal, axes (k, s, j, r)
-    diag = np.einsum("ii->i", S).reshape(n, n, n, n)
-    return complex(np.einsum("j,k,r,s,ksjr->", c[a - 1], np.conj(c[a - 1]),
-                             c[b - 1], np.conj(c[b - 1]), diag))
-
-
 def sub_povm_total_bound(model: TensorModel | CommutingModel) -> float:
     """Max eigenvalue of the recovered sub-POVM totals (1/n) sum_a u_aa u_aa^dag.
 
     Valid models keep this at or below one; lifted PVM strategies sit at
     exactly one because their diagonal blocks are unitary.
     """
-    n = model.n
+    n, k = model.n, np.arange(model.n)
     worst = -np.inf
-    for side in ("u", "v"):
-        for idx in range(model.m):
-            blocks = model.u_blocks(idx) if side == "u" else model.v_blocks(idx)
-            total = sum(blocks[a, a] @ np.conj(blocks[a, a]).T for a in range(n)) / n
-            w = np.linalg.eigvalsh((total + np.conj(total).T) / 2)
-            worst = max(worst, float(w[-1]))
+    for blocks in (model.u_blocks(), model.v_blocks()):
+        diag = blocks[:, k, k]  # (m, n, d, d): the blocks u_aa of every setting
+        total = np.einsum("xaij,xakj->xik", diag, np.conj(diag)) / n
+        w = np.linalg.eigvalsh((total + np.conj(np.swapaxes(total, -1, -2))) / 2)
+        worst = max(worst, float(np.max(w[:, -1])))
     return worst
 
 
@@ -219,14 +202,8 @@ def chsh_functional() -> np.ndarray:
     f[a,b,x,y] = 1/4 when the outcome bits satisfy a xor b = x and y,
     with labels mapped to bits via label - 1.
     """
-    f = np.zeros((2, 2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            for a in range(2):
-                for b in range(2):
-                    if (a ^ b) == (x & y):
-                        f[a, b, x, y] = 0.25
-    return f
+    a, b, x, y = np.indices((2, 2, 2, 2))
+    return np.where((a ^ b) == (x & y), 0.25, 0.0)
 
 
 def _qubit_pvm(angle: float) -> tuple[np.ndarray, np.ndarray]:

@@ -51,20 +51,6 @@ def _guard_n(n: int, max_n: int) -> None:
         )
 
 
-def _frozen_grid(grid, m: int, member: tuple[int, ...], what: str) -> np.ndarray:
-    """Read-only complex copy of an m x m grid of arrays of shape ``member``."""
-    try:
-        A = np.array(grid, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise DimensionMismatchError(f"{what} grid is not a regular m x m grid: {exc}") from exc
-    if A.shape[:2] != (m, m):
-        raise DimensionMismatchError(f"{what} grid has shape {A.shape[:2]}, expected {(m, m)}")
-    if A.shape[2:] != member:
-        raise DimensionMismatchError(f"{what} has shape {A.shape[2:]}, expected {member}")
-    A.setflags(write=False)
-    return A
-
-
 @dataclass(frozen=True)
 class ChannelFamily:
     """Superoperators on row-major vectorized ancilla-pair states.
@@ -78,15 +64,17 @@ class ChannelFamily:
     supers: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "supers",
-                           _frozen_grid(self.supers, self.m, (self.n ** 4,) * 2, "superoperator"))
+        object.__setattr__(self, "supers", linalg.frozen(
+            self.supers, (self.m, self.m), (self.n ** 4,) * 2, "superoperator"))
 
     def apply_to(self, rho: np.ndarray, x: int, y: int) -> np.ndarray:
         """Output state of the (x, y) channel on one input density matrix.
 
-        The input must be Hermitian, positive semidefinite and of unit trace
-        within tolerance.
+        The settings must lie in 0..m-1; the input must be Hermitian, positive
+        semidefinite and of unit trace within tolerance.
         """
+        if not (0 <= x < self.m and 0 <= y < self.m):
+            raise DimensionMismatchError(f"setting pair ({x}, {y}) out of range for m={self.m}")
         n2 = self.n ** 2
         A = linalg.as_matrix(rho, "rho")
         if A.shape[0] != n2:
@@ -110,8 +98,8 @@ class MomentTable:
     tables: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "tables",
-                           _frozen_grid(self.tables, self.m, (self.n,) * 8, "moment tensor"))
+        object.__setattr__(self, "tables", linalg.frozen(
+            self.tables, (self.m, self.m), (self.n,) * 8, "moment tensor"))
 
     def conjugate_symmetry_defect(self) -> float:
         """Worst |T[i,j,l,k,p,r,t,s] - conj(T[l,k,i,j,t,s,p,r])| over the family."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -31,7 +32,11 @@ EXIT_INPUT_ERROR = 2
 
 
 def _max_n() -> int:
-    return int(os.environ.get("UICHAN_MAX_N", channels.DEFAULT_MAX_N))
+    text = os.environ.get("UICHAN_MAX_N", str(channels.DEFAULT_MAX_N))
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"UICHAN_MAX_N must be an integer, got {text!r}") from None
 
 
 def _read_json(path: str) -> dict:
@@ -159,12 +164,9 @@ def cmd_verify(args) -> int:
 def _write_behaviour_csv(path: str, behaviour) -> None:
     """Diff-able CSV with 1-based labels; tiny negatives are clamped here only."""
     lines = ["a,b,x,y,p"]
-    for x in range(behaviour.m):
-        for y in range(behaviour.m):
-            for a in range(behaviour.n):
-                for b in range(behaviour.n):
-                    value = max(0.0, float(behaviour.p[a, b, x, y]))
-                    lines.append(f"{a + 1},{b + 1},{x + 1},{y + 1},{value!r}")
+    for x, y, a, b in np.ndindex(behaviour.m, behaviour.m, behaviour.n, behaviour.n):
+        value = max(0.0, float(behaviour.p[a, b, x, y]))
+        lines.append(f"{a + 1},{b + 1},{x + 1},{y + 1},{value!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -265,11 +267,21 @@ def cmd_swap_demo(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # rejected below with the same message
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, output: bool = True) -> None:
     if output:
         p.add_argument("-o", "--output", help="output JSON path (default: stdout)")
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the command's pass/fail tolerance")
+    p.add_argument("--tol", type=_finite_float, default=None,
+                   help="override the command's pass/fail tolerance (a finite number)")
     p.add_argument("--json-indent", type=int, default=2,
                    help="JSON indent for outputs; negative for compact")
 

@@ -39,6 +39,27 @@ def as_matrix(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return A
 
 
+def frozen(a, lead: tuple[int, ...], member: tuple[int, ...], what: str) -> np.ndarray:
+    """Read-only complex copy of a stack of arrays: leading axes ``lead``, members ``member``.
+
+    The leading axes index the family (settings, outcomes); a ragged input or
+    a wrong shape raises DimensionMismatchError, non-finite entries DomainError.
+    """
+    try:
+        A = np.array(a, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatchError(f"{what} stack is not a regular array: {exc}") from exc
+    k = len(lead)
+    if A.shape[:k] != lead:
+        raise DimensionMismatchError(f"{what} stack has shape {A.shape[:k]}, expected {lead}")
+    if A.shape[k:] != member:
+        raise DimensionMismatchError(f"{what} has shape {A.shape[k:]}, expected {member}")
+    if not np.isfinite(A).all():
+        raise DomainError(f"{what} has non-finite entries")
+    A.setflags(write=False)
+    return A
+
+
 def check_register_dims(dims: Sequence[int], dim: int) -> tuple[int, ...]:
     """Validate register dimensions against the ambient matrix dimension."""
     ds = tuple(int(d) for d in dims)

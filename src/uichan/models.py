@@ -10,6 +10,8 @@ operator entries mutually commute.  Register orders are fixed once:
 * commuting models:  (A', H, B')          with U[x] on (A', H) and
                                           V[y] on (H, B').
 
+U and V are each one read-only (m, D, D) array whose leading axis is the
+setting, and a PVM family is one (m, n, d, d) array of projectors.
 U[x] is always stored ancilla-major (n x n blocks of local operators).
 V[y] is stored on its physical legs: ancilla-minor for tensor models
 (local index major), ancilla-major for commuting models.  ``u_blocks`` /
@@ -29,16 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, DomainError, InvalidModelError
+from .errors import DimensionMismatchError, InvalidModelError
 from .linalg import dag
-
-
-def _frozen(a: np.ndarray, name: str) -> np.ndarray:
-    out = np.array(a, dtype=complex)
-    if not np.isfinite(out).all():
-        raise DomainError(f"{name} has non-finite entries")
-    out.setflags(write=False)
-    return out
 
 
 def _worst(values) -> float:
@@ -46,8 +40,9 @@ def _worst(values) -> float:
     return float(np.max(list(values)))
 
 
-def _worst_unitarity(mats) -> float:
-    return _worst(linalg.unitarity_defect(M) for M in mats)
+def _worst_unitarity(*stacks) -> float:
+    """Largest unitarity defect over every matrix of the given stacks."""
+    return _worst(linalg.unitarity_defect(M) for stack in stacks for M in stack)
 
 
 def _require_within(what: str, defects: dict[str, float], t: float) -> None:
@@ -58,15 +53,9 @@ def _require_within(what: str, defects: dict[str, float], t: float) -> None:
 
 def _freeze_state(state: np.ndarray, dim: int, name: str) -> np.ndarray:
     s = np.asarray(state, dtype=complex)
-    if s.ndim == 1:
-        if s.shape[0] != dim:
-            raise DimensionMismatchError(f"{name} vector has length {s.shape[0]}, expected {dim}")
-    elif s.ndim == 2:
-        if s.shape != (dim, dim):
-            raise DimensionMismatchError(f"{name} density matrix has shape {s.shape}, expected {(dim, dim)}")
-    else:
+    if s.ndim not in (1, 2):
         raise DimensionMismatchError(f"{name} must be a vector or a square matrix")
-    return _frozen(s, name)
+    return linalg.frozen(s, (), (dim,) * s.ndim, name)
 
 
 def _state_defect(state: np.ndarray) -> float:
@@ -82,42 +71,30 @@ def _state_defect(state: np.ndarray) -> float:
 class PVMFamily:
     """m projective measurements with n outcomes on a d-dimensional system.
 
-    ``projectors[x][a]`` is the projector for setting x and outcome a
+    ``projectors`` is one read-only ``(m, n, d, d)`` array: ``projectors[x, a]``
+    (equally ``projectors[x][a]``) is the projector for setting x and outcome a
     (0-based indices; outcome a corresponds to label a+1).
     """
 
     d: int
     m: int
     n: int
-    projectors: tuple[tuple[np.ndarray, ...], ...]
+    projectors: np.ndarray
 
     def __post_init__(self):
         if self.d < 1 or self.m < 1 or self.n < 1:
             raise DimensionMismatchError("d, m, n must be positive")
-        if len(self.projectors) != self.m or any(len(row) != self.n for row in self.projectors):
-            raise DimensionMismatchError("projector table must be m settings of n outcomes")
-        rows = []
-        for row in self.projectors:
-            mats = []
-            for P in row:
-                A = linalg.as_matrix(P, "projector")
-                if A.shape[0] != self.d:
-                    raise DimensionMismatchError(f"projector has dim {A.shape[0]}, expected {self.d}")
-                mats.append(_frozen(A, "projector"))
-            rows.append(tuple(mats))
-        object.__setattr__(self, "projectors", tuple(rows))
+        object.__setattr__(self, "projectors", linalg.frozen(
+            self.projectors, (self.m, self.n), (self.d, self.d), "projector"))
 
     def defects(self) -> dict[str, float]:
         """Worst projector defect ||P^2 - P||_F, ||P - P^dag||_F and completeness defect."""
-        proj = []
-        comp = []
-        for row in self.projectors:
-            total = np.zeros((self.d, self.d), dtype=complex)
-            for P in row:
-                proj += [float(np.linalg.norm(P @ P - P)), linalg.hermiticity_defect(P)]
-                total = total + P
-            comp.append(float(np.linalg.norm(total - np.eye(self.d))))
-        return {"projector": _worst(proj), "completeness": _worst(comp)}
+        P = self.projectors
+        idempotency = np.linalg.norm(P @ P - P, axis=(-2, -1))
+        hermiticity = np.linalg.norm(P - np.conj(np.swapaxes(P, -1, -2)), axis=(-2, -1))
+        completeness = np.linalg.norm(P.sum(axis=1) - np.eye(self.d), axis=(-2, -1))
+        return {"projector": _worst(np.append(idempotency, hermiticity)),
+                "completeness": _worst(completeness)}
 
     def check(self, tol_abs: float | None = None) -> None:
         t = linalg.tol(self.d) if tol_abs is None else tol_abs
@@ -128,19 +105,11 @@ class _Model:
     """State handling and defects shared by tensor and commuting models."""
 
     def _freeze(self, state_dim: int, u_dim: int, v_dim: int) -> None:
-        """Replace state, U and V by checked read-only complex copies."""
+        """Replace state, U and V by checked read-only complex copies; U, V as (m, D, D) stacks."""
         object.__setattr__(self, "state", _freeze_state(self.state, state_dim, "state"))
         for name, dim in (("U", u_dim), ("V", v_dim)):
-            mats = getattr(self, name)
-            if len(mats) != self.m:
-                raise DimensionMismatchError(f"{name} must hold {self.m} unitaries")
-            frozen = []
-            for M in mats:
-                A = linalg.as_matrix(M, name)
-                if A.shape[0] != dim:
-                    raise DimensionMismatchError(f"{name} has dim {A.shape[0]}, expected {dim}")
-                frozen.append(_frozen(A, name))
-            object.__setattr__(self, name, tuple(frozen))
+            stack = linalg.frozen(getattr(self, name), (self.m,), (dim, dim), name)
+            object.__setattr__(self, name, stack)
 
     @property
     def state_is_vector(self) -> bool:
@@ -152,7 +121,7 @@ class _Model:
         return np.asarray(self.state)
 
     def defects(self) -> dict[str, float]:
-        return {"unitarity": _worst_unitarity(self.U + self.V), "state": _state_defect(self.state)}
+        return {"unitarity": _worst_unitarity(self.U, self.V), "state": _state_defect(self.state)}
 
 
 @dataclass(frozen=True)
@@ -164,21 +133,30 @@ class TensorModel(_Model):
     dA: int
     dB: int
     state: np.ndarray
-    U: tuple[np.ndarray, ...]
-    V: tuple[np.ndarray, ...]
+    U: np.ndarray
+    V: np.ndarray
 
     def __post_init__(self):
         if min(self.n, self.m, self.dA, self.dB) < 1:
             raise DimensionMismatchError("n, m, dA, dB must be positive")
         self._freeze(self.dA * self.dB, self.n * self.dA, self.dB * self.n)
 
-    def u_blocks(self, x: int) -> np.ndarray:
-        """Operator entries of U[x] as an (n, n, dA, dA) array (ancilla-major storage)."""
-        return self.U[x].reshape(self.n, self.dA, self.n, self.dA).transpose(0, 2, 1, 3)
+    def u_blocks(self, x=slice(None)) -> np.ndarray:
+        """Operator entries of U[x] as an (n, n, dA, dA) array (ancilla-major storage).
 
-    def v_blocks(self, y: int) -> np.ndarray:
-        """Operator entries of V[y] as an (n, n, dB, dB) array (ancilla-minor storage)."""
-        return self.V[y].reshape(self.dB, self.n, self.dB, self.n).transpose(1, 3, 0, 2)
+        Without x, those of every setting as one (m, n, n, dA, dA) array.
+        """
+        U = self.U[x]
+        return U.reshape(U.shape[:-2] + (self.n, self.dA, self.n, self.dA)).swapaxes(-3, -2)
+
+    def v_blocks(self, y=slice(None)) -> np.ndarray:
+        """Operator entries of V[y] as an (n, n, dB, dB) array (ancilla-minor storage).
+
+        Without y, those of every setting as one (m, n, n, dB, dB) array.
+        """
+        V = self.V[y]
+        V = V.reshape(V.shape[:-2] + (self.dB, self.n, self.dB, self.n))
+        return np.moveaxis(V, (-3, -1), (-4, -3))
 
     def check(self, tol_abs: float | None = None) -> None:
         t = linalg.tol(max(self.n * self.dA, self.dB * self.n)) if tol_abs is None else tol_abs
@@ -193,8 +171,8 @@ class CommutingModel(_Model):
     m: int
     d: int
     state: np.ndarray
-    U: tuple[np.ndarray, ...]
-    V: tuple[np.ndarray, ...]
+    U: np.ndarray
+    V: np.ndarray
 
     def __post_init__(self):
         if min(self.n, self.m, self.d) < 1:
@@ -202,12 +180,14 @@ class CommutingModel(_Model):
         self._freeze(self.d, self.n * self.d, self.n * self.d)
 
     def _blocks(self, M: np.ndarray) -> np.ndarray:
-        return M.reshape(self.n, self.d, self.n, self.d).transpose(0, 2, 1, 3)
+        return M.reshape(M.shape[:-2] + (self.n, self.d, self.n, self.d)).swapaxes(-3, -2)
 
-    def u_blocks(self, x: int) -> np.ndarray:
+    def u_blocks(self, x=slice(None)) -> np.ndarray:
+        """Operator entries of U[x] as (n, n, d, d); without x, (m, n, n, d, d) for all settings."""
         return self._blocks(self.U[x])
 
-    def v_blocks(self, y: int) -> np.ndarray:
+    def v_blocks(self, y=slice(None)) -> np.ndarray:
+        """Operator entries of V[y] as (n, n, d, d); without y, (m, n, n, d, d) for all settings."""
         return self._blocks(self.V[y])
 
     def check(self, tol_abs: float | None = None) -> None:
@@ -218,7 +198,7 @@ class CommutingModel(_Model):
     def commutation(self) -> CommutationReport:
         """Entrywise commutation report; see ``validate_commuting``."""
         worst = _worst_commutator(self)
-        uni = _worst_unitarity(self.U + self.V)
+        uni = _worst_unitarity(self.U, self.V)
         t = linalg.tol(self.n * self.d)
         return CommutationReport(
             max_commutator=worst,
@@ -306,36 +286,33 @@ def embed_tensor_as_commuting(model: TensorModel) -> CommutingModel:
     H_A, so the operator entries land in commuting subalgebras; the state
     is unchanged and the induced channel family is preserved exactly.
     """
-    n, dA, dB = model.n, model.dA, model.dB
+    n, m, dA, dB = model.n, model.m, model.dA, model.dB
     d = dA * dB
-    eyeA = np.eye(dA)
-    U_new = tuple(linalg.kron(U, np.eye(dB)) for U in model.U)
-    V_new = []
-    for y in range(model.m):
-        vb = model.v_blocks(y)
-        lifted = np.einsum("klab,cd->klcadb", vb, eyeA)  # I_dA x v_kl, row-major (dA,dB)
-        V_new.append(lifted.reshape(n, n, d, d).transpose(0, 2, 1, 3).reshape(n * d, n * d))
-    return CommutingModel(n=n, m=model.m, d=d, state=model.state, U=U_new, V=tuple(V_new))
+    U = (model.U[:, :, None, :, None] * np.eye(dB)[:, None, :]).reshape(m, n * d, n * d)
+    # V[y] on (H_B, B') becomes I_dA x v_kl blocks, ancilla-major on (B', H_A, H_B)
+    V = np.einsum("ybkcl,ae->ykablec", model.V.reshape(m, dB, n, dB, n), np.eye(dA))
+    return CommutingModel(n=n, m=m, d=d, state=model.state, U=U, V=V.reshape(m, n * d, n * d))
 
 
-def _fourier_unitaries(projectors: tuple[np.ndarray, ...], n: int) -> list[np.ndarray]:
-    """u_{a'} = sum_a exp(2 pi i a a'/n) P_a for labels a, a' = 1..n.
+def _fourier_unitaries(projectors: np.ndarray, n: int) -> np.ndarray:
+    """u[x, a'-1] = sum_a exp(2 pi i a a'/n) P[x, a-1] for labels a, a' = 1..n.
 
-    Phases are evaluated at (a * a') mod n so that u_n is exactly the
-    completeness sum of the projectors.  Raises if any u_{a'} is not unitary
-    within tol(d), which means the projectors do not form a PVM.
+    Takes an (m, n, d, d) projector stack and returns the (m, n, d, d) stack of
+    unitaries, summed outcome by outcome.  Phases are evaluated at
+    (a * a') mod n so that u_n is exactly the completeness sum of the
+    projectors.  Raises if any u is not unitary within tol(d), which means
+    the projectors do not form a PVM.
     """
-    d = projectors[0].shape[0]
-    out = []
-    for ap in range(1, n + 1):
-        u = np.zeros((d, d), dtype=complex)
-        for a in range(1, n + 1):
-            u += np.exp(2j * np.pi * ((a * ap) % n) / n) * projectors[a - 1]
-        if not linalg.unitarity_defect(u) <= linalg.tol(d):
-            raise InvalidModelError("Fourier combination of the projectors is not unitary; "
-                                    "the PVM is invalid")
-        out.append(u)
-    return out
+    d = projectors.shape[-1]
+    phases = np.array([[np.exp(2j * np.pi * ((a * ap) % n) / n) for a in range(1, n + 1)]
+                       for ap in range(1, n + 1)])
+    u = np.zeros(projectors.shape, dtype=complex)
+    for a in range(n):
+        u += phases[:, a, None, None] * projectors[:, None, a]
+    if not _worst_unitarity(u.reshape(-1, d, d)) <= linalg.tol(d):
+        raise InvalidModelError("Fourier combination of the projectors is not unitary; "
+                                "the PVM is invalid")
+    return u
 
 
 def diagonal_fourier_lift(alice: PVMFamily, bob: PVMFamily, state: np.ndarray) -> TensorModel:
@@ -352,18 +329,13 @@ def diagonal_fourier_lift(alice: PVMFamily, bob: PVMFamily, state: np.ndarray) -
         )
     n, m = alice.n, alice.m
     dA, dB = alice.d, bob.d
-    U_list, V_list = [], []
-    for x in range(m):
-        U = np.zeros((n * dA, n * dA), dtype=complex)
-        for ap, u in enumerate(_fourier_unitaries(alice.projectors[x], n)):
-            U[ap * dA:(ap + 1) * dA, ap * dA:(ap + 1) * dA] = u
-        U_list.append(U)
-    for y in range(m):
-        V = np.zeros((dB * n, dB * n), dtype=complex)
-        for bp, v in enumerate(_fourier_unitaries(bob.projectors[y], n)):
-            V[bp::n, bp::n] = v
-        V_list.append(V)
-    return TensorModel(n=n, m=m, dA=dA, dB=dB, state=state, U=tuple(U_list), V=tuple(V_list))
+    k = np.arange(n)
+    U = np.zeros((m, n, dA, n, dA), dtype=complex)  # ancilla-major: (x, a', H_A, a', H_A)
+    U[:, k, :, k] = _fourier_unitaries(alice.projectors, n).swapaxes(0, 1)
+    V = np.zeros((m, dB, n, dB, n), dtype=complex)  # ancilla-minor: (y, H_B, b', H_B, b')
+    V[:, :, k, :, k] = _fourier_unitaries(bob.projectors, n).swapaxes(0, 1)
+    return TensorModel(n=n, m=m, dA=dA, dB=dB, state=state,
+                       U=U.reshape(m, n * dA, n * dA), V=V.reshape(m, dB * n, dB * n))
 
 
 def random_pvm_family(d: int, m: int, n: int, seed: int | None = None,
@@ -375,15 +347,13 @@ def random_pvm_family(d: int, m: int, n: int, seed: int | None = None,
     """
     if rng is None:
         rng = linalg.rng_from_seed(0 if seed is None else seed)
-    rows = []
-    for _ in range(m):
+    projectors = np.empty((m, n, d, d), dtype=complex)
+    for x in range(m):
         Q = linalg.haar_unitary_from(rng, d)
-        row = []
         for a in range(n):
             cols = Q[:, a::n]
-            row.append(cols @ dag(cols))
-        rows.append(tuple(row))
-    return PVMFamily(d=d, m=m, n=n, projectors=tuple(rows))
+            projectors[x, a] = cols @ dag(cols)
+    return PVMFamily(d=d, m=m, n=n, projectors=projectors)
 
 
 def random_tensor_model(n: int, m: int, dA: int, dB: int, state: str = "vector",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .bell import Behaviour, bell_value, behaviour_from_channel
+from .bell import Behaviour, _product_projectors, bell_value, behaviour_from_channel
 from .channels import channel_direct
 from .errors import DimensionMismatchError, PipelineInconsistencyError
 from .linalg import dag
@@ -60,16 +60,12 @@ class SeesawResult:
     config: SeesawConfig
 
 
-def _bell_operator(f: np.ndarray, P: list[list[np.ndarray]], Q: list[list[np.ndarray]],
-                   dA: int, dB: int) -> np.ndarray:
-    n, _, m, _ = f.shape
-    B = np.zeros((dA * dB, dA * dB), dtype=complex)
-    for x in range(m):
-        for y in range(m):
-            for a in range(n):
-                for b in range(n):
-                    if f[a, b, x, y] != 0.0:
-                        B += f[a, b, x, y] * linalg.kron(P[x][a], Q[y][b])
+def _bell_operator(f: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """sum_{abxy} f[a,b,x,y] P[x,a] x Q[y,b], adding the nonzero terms in (x, y, a, b) order."""
+    ops = _product_projectors(P, Q)
+    B = np.zeros(ops.shape[-2:], dtype=complex)
+    for x, y, a, b in zip(*np.nonzero(f.transpose(2, 3, 0, 1))):
+        B += f[a, b, x, y] * ops[x, y, a, b]
     return B
 
 
@@ -91,29 +87,25 @@ def _positive_eigenspace_split(delta: np.ndarray, pi: np.ndarray) -> tuple[np.nd
     return P_pos, pi - P_pos
 
 
-def _update_party(scores: list[list[np.ndarray]], P: list[list[np.ndarray]],
-                  d: int, n: int) -> list[list[np.ndarray]]:
+def _update_party(scores: list[list[np.ndarray]], P: np.ndarray, d: int, n: int) -> np.ndarray:
     """Exact pairwise-exchange update of one party's PVMs per setting.
 
     scores[x][a] is the Hermitian matrix R_{a|x}; the per-setting objective
     is sum_a Tr[P_{a|x} R_{a|x}].  For n = 2 a single exchange is the exact
-    subproblem optimum.
+    subproblem optimum.  Returns the updated (m, n, d, d) projector stack.
     """
     eye = np.eye(d)
-    out = []
+    out = np.array(P, dtype=complex)
     for x in range(len(scores)):
-        cur = [np.array(p) for p in P[x]]
         for a in range(n):
             for b in range(a + 1, n):
-                pi = cur[a] + cur[b] if n > 2 else eye
-                P_pos, P_rest = _positive_eigenspace_split(scores[x][a] - scores[x][b], pi)
-                cur[a], cur[b] = P_pos, P_rest
-        out.append(cur)
+                pi = out[x, a] + out[x, b] if n > 2 else eye
+                out[x, a], out[x, b] = _positive_eigenspace_split(scores[x][a] - scores[x][b], pi)
     return out
 
 
-def _evaluate(f: np.ndarray, P, Q, psi: np.ndarray, dA: int, dB: int) -> float:
-    B = _bell_operator(f, P, Q, dA, dB)
+def _evaluate(f: np.ndarray, P: np.ndarray, Q: np.ndarray, psi: np.ndarray) -> float:
+    B = _bell_operator(f, P, Q)
     return float(np.real(np.conj(psi) @ B @ psi))
 
 
@@ -126,7 +118,7 @@ def _seesaw_once(f: np.ndarray, cfg: SeesawConfig, rng: np.random.Generator):
     prev = -np.inf
     for _ in range(cfg.max_iters):
         # state step: top eigenvector of the Bell operator
-        B = _bell_operator(f, P, Q, dA, dB)
+        B = _bell_operator(f, P, Q)
         _, vecs = linalg.herm_eig(B)
         psi = vecs[:, -1]
         rho = np.outer(psi, np.conj(psi))
@@ -153,7 +145,7 @@ def _seesaw_once(f: np.ndarray, cfg: SeesawConfig, rng: np.random.Generator):
             scores_b.append(row)
         Q = _update_party(scores_b, Q, dB, n)
 
-        val = _evaluate(f, P, Q, psi, dA, dB)
+        val = _evaluate(f, P, Q, psi)
         trace.append(val)
         if val - prev < cfg.rel_tol * max(1.0, abs(val)):
             break
@@ -180,8 +172,8 @@ def optimize_bell(f: np.ndarray, cfg: SeesawConfig) -> SeesawResult:
         if best is None or val > best[0]:
             best = (val, P, Q, psi, trace, r)
     val, P, Q, psi, trace, r = best
-    alice = PVMFamily(d=cfg.dA, m=cfg.m, n=cfg.n, projectors=tuple(tuple(row) for row in P))
-    bob = PVMFamily(d=cfg.dB, m=cfg.m, n=cfg.n, projectors=tuple(tuple(row) for row in Q))
+    alice = PVMFamily(d=cfg.dA, m=cfg.m, n=cfg.n, projectors=P)
+    bob = PVMFamily(d=cfg.dB, m=cfg.m, n=cfg.n, projectors=Q)
     lifted = diagonal_fourier_lift(alice, bob, psi)
     return SeesawResult(
         value=val, alice=alice, bob=bob, state=psi, trace=tuple(trace),

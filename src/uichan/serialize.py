@@ -47,7 +47,8 @@ def matrix_from_json(doc: dict[str, Any]) -> np.ndarray:
         raise SchemaError("re/im must be flat lists of equal length")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise SchemaError("matrix has non-finite entries")
-    flat = re + 1j * im
+    flat = np.empty(re.shape, dtype=complex)
+    flat.real, flat.imag = re, im  # re + 1j * im would turn -0.0 parts into +0.0
     if flat.size == dim * dim:
         return flat.reshape(dim, dim)
     if flat.size == dim:
@@ -81,19 +82,12 @@ def _state_from_json(doc: dict[str, Any]) -> np.ndarray:
 
 def model_to_json(model: TensorModel | CommutingModel) -> dict[str, Any]:
     if isinstance(model, TensorModel):
-        return {
-            "kind": "tensor", "n": model.n, "m": model.m,
-            "dA": model.dA, "dB": model.dB,
-            "state": _state_to_json(model.state),
+        head = {"kind": "tensor", "n": model.n, "m": model.m, "dA": model.dA, "dB": model.dB}
+    else:
+        head = {"kind": "commuting", "n": model.n, "m": model.m, "d": model.d}
+    return {**head, "state": _state_to_json(model.state),
             "U": [matrix_to_json(M) for M in model.U],
-            "V": [matrix_to_json(M) for M in model.V],
-        }
-    return {
-        "kind": "commuting", "n": model.n, "m": model.m, "d": model.d,
-        "state": _state_to_json(model.state),
-        "U": [matrix_to_json(M) for M in model.U],
-        "V": [matrix_to_json(M) for M in model.V],
-    }
+            "V": [matrix_to_json(M) for M in model.V]}
 
 
 def model_from_json(doc: dict[str, Any]) -> TensorModel | CommutingModel:

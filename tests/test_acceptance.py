@@ -11,11 +11,13 @@ import numpy as np
 from uichan import linalg
 from uichan.bell import (Behaviour, behaviour_from_channel, bell_value, chsh_functional,
                          chsh_optimal_strategy, diagonal_moment_behaviour, fourier_coeffs,
-                         lastcond_contraction, sub_povm_total_bound, unitaries_from_pvm)
+                         sub_povm_total_bound, unitaries_from_pvm)
 from uichan.channels import channel_direct, channel_from_moments, cptp_report, moment_table
 from uichan.models import (TensorModel, diagonal_fourier_lift, embed_tensor_as_commuting,
                            random_pvm_family, random_tensor_model)
 from uichan.seesaw import SeesawConfig, optimize_bell
+
+from oracles import lastcond_contraction
 
 GRID = [(n, m, dA, dB)
         for n in (2, 3) for m in (1, 2) for dA in (2, 3) for dB in (2, 3)]

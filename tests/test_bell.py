@@ -7,12 +7,14 @@ from numpy.testing import assert_allclose
 from uichan import linalg
 from uichan.bell import (Behaviour, behaviour_direct, behaviour_from_channel, bell_value,
                          chsh_functional, chsh_optimal_strategy, diagonal_moment_behaviour,
-                         fourier_coeffs, lastcond_contraction, normalization_functional,
-                         sub_povm_total_bound, unitaries_from_pvm)
+                         fourier_coeffs, normalization_functional, sub_povm_total_bound,
+                         unitaries_from_pvm)
 from uichan.channels import channel_direct, moments_from_channel
 from uichan.errors import DimensionMismatchError, DomainError, InvalidModelError
 from uichan.models import (PVMFamily, diagonal_fourier_lift, random_pvm_family,
                            random_tensor_model)
+
+from oracles import lastcond_contraction
 
 CHSH_OPTIMUM = (2 + np.sqrt(2)) / 4
 
@@ -62,6 +64,11 @@ class TestUnitariesFromPVM:
         us = unitaries_from_pvm(computational_pvm(2, 1))
         assert_allclose(us[0][0], np.diag([-1.0, 1.0]), atol=1e-15)
         assert_allclose(us[0][1], np.eye(2), atol=0)
+
+    def test_one_stack_per_family(self):
+        fam = random_pvm_family(3, 2, 4, seed=5)
+        us = unitaries_from_pvm(fam)
+        assert isinstance(us, np.ndarray) and us.shape == (2, 4, 3, 3)
 
     def test_last_unitary_is_identity(self):
         for seed in range(4):
@@ -115,6 +122,22 @@ class TestBehaviourDirect:
         alice, bob, psi = random_qubit_strategy(7)
         b = behaviour_direct(alice, bob, psi)
         b.check()
+
+    def test_equals_per_cell_trace_bit_for_bit(self):
+        # the stacked products and traces give what one trace per (x, y, a, b) cell gives
+        for seed, (n, m, dA, dB) in enumerate([(2, 2, 2, 2), (3, 2, 3, 2), (2, 3, 1, 4),
+                                               (3, 3, 3, 3), (4, 1, 2, 3), (2, 2, 4, 4)]):
+            alice = random_pvm_family(dA, m, n, seed=seed)
+            bob = random_pvm_family(dB, m, n, seed=seed + 50)
+            rng = linalg.rng_from_seed(seed + 100)
+            d = dA * dB
+            state = linalg.haar_state_vector(rng, d) if seed % 2 else linalg.wishart_density(rng, d)
+            rho = np.outer(state, np.conj(state)) if state.ndim == 1 else state
+            p = np.zeros((n, n, m, m))
+            for x, y, a, b in np.ndindex(m, m, n, n):
+                op = np.kron(alice.projectors[x][a], bob.projectors[y][b])
+                p[a, b, x, y] = float(np.real(np.trace(rho @ op)))
+            assert behaviour_direct(alice, bob, state).p.tobytes() == p.tobytes()
 
 
 class TestBellValue:

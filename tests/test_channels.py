@@ -256,6 +256,13 @@ class TestApply:
         with pytest.raises(DimensionMismatchError):
             fam.apply_to(np.eye(3) / 3, 0, 0)
 
+    @pytest.mark.parametrize("x, y", [(-1, 0), (0, -1), (1, 0), (0, 1), (-2, 5)])
+    def test_rejects_setting_out_of_range(self, x, y):
+        # m = 1: a negative index must not wrap around to the last member
+        fam = channel_direct(identity_model(2, 2, 2))
+        with pytest.raises(DimensionMismatchError):
+            fam.apply_to(np.eye(4) / 4, x, y)
+
 
 class TestFamilyArrays:
     def test_one_read_only_array_each(self):
@@ -301,6 +308,17 @@ class TestFamilyArrays:
         with pytest.raises(DimensionMismatchError):
             MomentTable(n=2, m=2, tables=grid)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        S = np.eye(16, dtype=complex)[None, None].copy()
+        S[0, 0, 3, 5] = bad
+        with pytest.raises(DomainError):
+            ChannelFamily(n=2, m=1, supers=S)
+        T = delta_tensor(2).astype(complex)[None, None].copy()
+        T[0, 0, 1, 0, 1, 0, 0, 0, 0, 0] = complex(0.0, bad)
+        with pytest.raises(DomainError):
+            MomentTable(n=2, m=1, tables=T)
+
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 3), m=st.integers(1, 2), dA=st.integers(1, 3), dB=st.integers(1, 3),
            kind=st.sampled_from(["tensor", "commuting"]),
@@ -310,6 +328,8 @@ class TestFamilyArrays:
         model = random_model(kind, n, m, dA, dB, state=state, seed=seed)
         fam = channel_direct(model)
         assert family_max_diff(fam, channel_from_moments(moment_table(model))) <= 1e-10
+        if kind == "tensor":  # the domain holds the acceptance grid, n, dA, dB in {2, 3}
+            assert family_max_diff(fam, channel_direct(embed_tensor_as_commuting(model))) <= 1e-12
         assert cptp_report(fam).accepted
         assert np.array_equal(channel_from_moments(moments_from_channel(fam)).supers, fam.supers)
 

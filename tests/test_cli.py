@@ -85,6 +85,18 @@ class TestGenAndVerify:
         assert doc["manifest"]["payload_sha256"] == serialize.sha256_text(
             serialize.dumps(doc["payload"], indent))
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "abc"])
+    def test_non_finite_tol_exit_2(self, model_path, tmp_path, capsys, tol):
+        # the tolerance is written into the payload, which JSON cannot hold if it is not finite
+        for argv in (["verify", "-i", str(model_path)], ["pipeline", "--preset", "chsh"],
+                     ["swap-demo", "--n", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [f"--tol={tol}", "-o", str(tmp_path / "out.json")])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "--tol: must be a finite number" in err and "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
+
     def test_parse_error_exit_2(self, tmp_path):
         garbage = tmp_path / "garbage.json"
         garbage.write_text("{not json")
@@ -126,7 +138,7 @@ class TestChannelCommand:
         audit = json.loads(capsys.readouterr().out)
         assert audit["pass"]
 
-    def test_n_guard_and_override(self, tmp_path, monkeypatch):
+    def test_n_guard_and_override(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "m5.json"
         out = tmp_path / "c5.json"
         assert main(["gen", "--n", "5", "--m", "1", "--dA", "1", "--dB", "1",
@@ -134,6 +146,11 @@ class TestChannelCommand:
         assert main(["channel", "-i", str(path), "-o", str(out)]) == 2
         monkeypatch.setenv("UICHAN_MAX_N", "5")
         assert main(["channel", "-i", str(path), "-o", str(out)]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("UICHAN_MAX_N", "abc")
+        assert main(["channel", "-i", str(path), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: UICHAN_MAX_N must be an integer") and "Traceback" not in err
 
 
 class TestBellCommands:

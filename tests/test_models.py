@@ -37,6 +37,18 @@ class TestPVMFamily:
         with pytest.raises(DimensionMismatchError):
             PVMFamily(d=2, m=1, n=2, projectors=((np.eye(2),),))
 
+    @pytest.mark.parametrize("projectors", [
+        ((np.eye(2), np.zeros((2, 2))),),                                    # 1 setting, m = 2
+        ((np.eye(2), np.zeros((2, 2))),) * 3,                                # 3 settings
+        ((np.eye(2), np.zeros((2, 2))), (np.eye(2),)),                       # ragged outcomes
+        ((np.eye(3), np.zeros((3, 3))),) * 2,                                # d = 3, not 2
+        ((np.eye(2), np.zeros((2, 2))), (np.eye(2), np.zeros((2, 3)))),     # one member 2 x 3
+        np.zeros((2, 2, 2)),                                                 # no outcome axis
+    ])
+    def test_wrong_setting_count_or_member_shape(self, projectors):
+        with pytest.raises(DimensionMismatchError):
+            PVMFamily(d=2, m=2, n=2, projectors=projectors)
+
     def test_numerical_defect_is_soft(self):
         bad = PVMFamily(d=2, m=1, n=2,
                         projectors=((np.diag([1.0, 0.1]), np.diag([0.0, 0.9])),))
@@ -113,6 +125,58 @@ class TestModels:
             CommutingModel(n=2, m=1, d=2, state=state[:2], U=(np.eye(4),), V=(M,))
         with pytest.raises(DomainError):
             TensorModel(n=2, m=1, dA=2, dB=2, state=M, U=(np.eye(4),), V=(np.eye(4),))
+
+
+class TestFamilyArrays:
+    def test_read_only_arrays_of_the_stated_shapes(self):
+        tm = random_tensor_model(2, 3, 2, 3, seed=11)
+        cm = embed_tensor_as_commuting(tm)
+        fam = random_pvm_family(3, 2, 4, seed=12)
+        for arr, shape in [(tm.U, (3, 4, 4)), (tm.V, (3, 6, 6)), (cm.U, (3, 12, 12)),
+                           (cm.V, (3, 12, 12)), (fam.projectors, (2, 4, 3, 3))]:
+            assert isinstance(arr, np.ndarray) and arr.dtype == complex and arr.shape == shape
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0, 0] = 1.0
+        assert len(tm.U) == 3 and tm.V[2].shape == (6, 6)
+        assert fam.projectors[1][3].shape == (3, 3)
+        assert tm.u_blocks().shape == (3, 2, 2, 2, 2) and tm.v_blocks().shape == (3, 2, 2, 3, 3)
+        for x in range(3):
+            assert np.array_equal(tm.u_blocks()[x], tm.u_blocks(x))
+            assert np.array_equal(tm.v_blocks()[x], tm.v_blocks(x))
+            assert np.array_equal(cm.v_blocks()[x], cm.v_blocks(x))
+
+    def test_constructor_copies_caller_arrays(self):
+        U = np.array([np.eye(4), np.eye(4)], dtype=complex)
+        tm = TensorModel(n=2, m=2, dA=2, dB=2, state=np.full(4, 0.5), U=U, V=U)
+        U[0, 0, 0] = 5.0
+        assert tm.U[0, 0, 0] == 1.0 and tm.V[0, 0, 0] == 1.0
+
+    @pytest.mark.parametrize("U, V", [
+        ((np.eye(4),), (np.eye(4), np.eye(4))),                 # one U for m = 2
+        ((np.eye(4),) * 3, (np.eye(4),) * 2),                   # three U
+        ((np.eye(4),) * 2, (np.eye(4), np.eye(6))),             # one V of the wrong dim
+        ((np.eye(4), np.ones((4, 3))), (np.eye(4),) * 2),       # a non-square member
+        (np.eye(4), (np.eye(4),) * 2),                          # a matrix, not a stack
+    ])
+    def test_wrong_setting_count_or_member_shape(self, U, V):
+        with pytest.raises(DimensionMismatchError):
+            TensorModel(n=2, m=2, dA=2, dB=2, state=np.full(4, 0.5), U=U, V=V)
+        with pytest.raises(DimensionMismatchError):
+            CommutingModel(n=2, m=2, d=2, state=np.full(2, 0.5 ** 0.5), U=U, V=V)
+
+    def test_unitarity_defect_covers_u_and_v_not_their_sum(self):
+        # with dA = dB, U and V have one shape, so an elementwise U + V would go unnoticed
+        tm = random_tensor_model(2, 2, 2, 2, seed=13)
+        U = np.array(tm.U)
+        U[1, 0, 0] += 0.01
+        broken = TensorModel(n=2, m=2, dA=2, dB=2, state=tm.state, U=U, V=tm.V)
+        per_matrix = [linalg.unitarity_defect(M) for M in (*broken.U, *broken.V)]
+        assert broken.defects()["unitarity"] == max(per_matrix) > 0.005
+        cm = embed_tensor_as_commuting(broken)
+        per_matrix = [linalg.unitarity_defect(M) for M in (*cm.U, *cm.V)]
+        assert cm.defects()["unitarity"] == max(per_matrix)
+        assert validate_commuting(cm).max_unitarity_defect == max(per_matrix)
 
 
 def entrywise_commutator_reference(model):
@@ -209,6 +273,19 @@ class TestEmbedding:
                 assert_allclose(cm.v_blocks(0)[i, j], np.kron(np.eye(2), vb[i, j]), atol=0)
         assert np.array_equal(cm.state, tm.state)
 
+    def test_equals_per_setting_products_bit_for_bit(self):
+        # one product over all settings gives what one product per setting gives, signed zeros too
+        for seed, (n, m, dA, dB) in enumerate([(2, 2, 2, 3), (3, 3, 2, 2), (1, 2, 3, 1),
+                                               (4, 1, 1, 2), (2, 2, 3, 3)]):
+            tm = random_tensor_model(n, m, dA, dB, seed=seed)
+            cm = embed_tensor_as_commuting(tm)
+            d = dA * dB
+            for x in range(m):
+                assert cm.U[x].tobytes() == np.kron(tm.U[x], np.eye(dB, dtype=complex)).tobytes()
+                lifted = np.einsum("klab,cd->klcadb", tm.v_blocks(x), np.eye(dA))
+                V = lifted.reshape(n, n, d, d).transpose(0, 2, 1, 3).reshape(n * d, n * d)
+                assert cm.V[x].tobytes() == V.tobytes()
+
 
 class TestDiagonalFourierLift:
     def test_degenerate_pvm(self):
@@ -243,6 +320,23 @@ class TestDiagonalFourierLift:
                 ub = tm.u_blocks(x)
                 for a in range(3):
                     assert np.linalg.norm(ub[a, a] @ ub[a, a].conj().T - np.eye(3)) <= 1e-12
+
+    def test_blocks_are_per_outcome_sums_bit_for_bit(self):
+        # u_{a'} summed outcome by outcome, as one loop per setting sums it; zeros off the diagonal
+        for seed, (d, m, n) in enumerate([(2, 2, 2), (3, 3, 3), (2, 2, 3), (4, 1, 4)]):
+            fam = random_pvm_family(d, m, n, seed=seed)
+            state = linalg.haar_state_vector(linalg.rng_from_seed(seed), d * d)
+            tm = diagonal_fourier_lift(fam, fam, state)
+            for x in range(m):
+                ub, vb = tm.u_blocks(x), tm.v_blocks(x)
+                for ap in range(1, n + 1):
+                    u = np.zeros((d, d), dtype=complex)
+                    for a in range(1, n + 1):
+                        u += np.exp(2j * np.pi * ((a * ap) % n) / n) * fam.projectors[x][a - 1]
+                    assert ub[ap - 1, ap - 1].tobytes() == u.tobytes()
+                    assert vb[ap - 1, ap - 1].tobytes() == u.tobytes()
+                off = ~np.eye(n, dtype=bool)
+                assert not np.any(ub[off]) and not np.any(vb[off])
 
     def test_mismatched_families(self):
         with pytest.raises(DimensionMismatchError):

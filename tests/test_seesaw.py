@@ -5,8 +5,9 @@ from numpy.testing import assert_allclose
 from uichan import linalg
 from uichan.bell import chsh_functional
 from uichan.errors import DimensionMismatchError, PipelineInconsistencyError
-from uichan.seesaw import (SeesawConfig, SeesawResult, _update_party, lift_and_verify,
-                           optimize_bell)
+from uichan.models import random_pvm_family
+from uichan.seesaw import (SeesawConfig, SeesawResult, _bell_operator, _update_party,
+                           lift_and_verify, optimize_bell)
 
 CHSH_OPTIMUM = (2 + np.sqrt(2)) / 4
 
@@ -51,6 +52,30 @@ class TestOptimizeBell:
         for x in range(2):
             for a in range(2):
                 assert np.array_equal(r1.alice.projectors[x][a], r2.alice.projectors[x][a])
+
+    def test_deterministic_arrays_three_outcomes(self):
+        # the heuristic exchange path, complex Fourier phases in the lift
+        f = np.random.default_rng(4).standard_normal((3, 3, 2, 2))
+        cfg = SeesawConfig(dA=2, dB=3, n=3, m=2, restarts=3, seed=21, max_iters=40)
+        r1, r2 = optimize_bell(f, cfg), optimize_bell(f, cfg)
+        assert not r1.exact_updates
+        assert r1.trace == r2.trace and r1.value == r2.value
+        for a, b in [(r1.alice.projectors, r2.alice.projectors), (r1.bob.projectors,
+                     r2.bob.projectors), (r1.state, r2.state), (r1.lifted.U, r2.lifted.U),
+                     (r1.lifted.V, r2.lifted.V)]:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert r1.alice.projectors.shape == (2, 3, 2, 2) and r1.lifted.V.shape == (2, 9, 9)
+
+    def test_bell_operator_equals_kron_sum_bit_for_bit(self):
+        f = np.random.default_rng(3).standard_normal((3, 3, 2, 2))
+        f[f < 0.3] = 0.0
+        P = random_pvm_family(2, 2, 3, seed=1).projectors
+        Q = random_pvm_family(3, 2, 3, seed=2).projectors
+        B = np.zeros((6, 6), dtype=complex)
+        for x, y, a, b in np.ndindex(2, 2, 3, 3):
+            if f[a, b, x, y] != 0.0:
+                B += f[a, b, x, y] * np.kron(P[x][a], Q[y][b])
+        assert _bell_operator(f, P, Q).tobytes() == B.tobytes()
 
     def test_lifted_model_is_valid(self):
         cfg = SeesawConfig(dA=2, dB=2, n=2, m=2, restarts=2, seed=17)

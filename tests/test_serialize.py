@@ -6,7 +6,8 @@ import pytest
 from uichan import linalg, serialize
 from uichan.bell import Behaviour, chsh_optimal_strategy
 from uichan.channels import channel_direct
-from uichan.models import random_model, random_tensor_model
+from uichan.models import (TensorModel, embed_tensor_as_commuting, random_model,
+                           random_pvm_family, random_tensor_model)
 from uichan.serialize import SchemaError
 
 
@@ -64,6 +65,61 @@ class TestModelRoundTrip:
     def test_unknown_kind(self):
         with pytest.raises(SchemaError):
             serialize.model_from_json({"kind": "other"})
+
+
+def rank_deficient_density(rng, d, rank):
+    G = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    W = G @ G.conj().T
+    return W / np.trace(W).real
+
+
+def sample_state(kind, d, seed):
+    rng = linalg.rng_from_seed(seed)
+    if kind == "vector":
+        return linalg.haar_state_vector(rng, d)
+    if kind == "full-rank":
+        return linalg.wishart_density(rng, d)
+    return rank_deficient_density(rng, d, 2)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBitExactRoundTrips:
+    """Reading back what was written gives the same bits, signed zeros included."""
+
+    @pytest.mark.parametrize("kind", ["tensor", "commuting"])
+    @pytest.mark.parametrize("state", ["vector", "full-rank", "rank-deficient"])
+    def test_model(self, kind, state):
+        tm = random_tensor_model(2, 2, 2, 3, seed=14)
+        model = TensorModel(n=2, m=2, dA=2, dB=3, state=sample_state(state, 6, 15), U=tm.U, V=tm.V)
+        if kind == "commuting":
+            model = embed_tensor_as_commuting(model)  # its identity factors hold signed zeros
+        text = json.dumps(serialize.model_to_json(model))
+        back = serialize.model_from_json(json.loads(text))
+        assert type(back) is type(model)
+        for name in ("state", "U", "V"):
+            assert same_bits(getattr(back, name), getattr(model, name))
+        assert json.dumps(serialize.model_to_json(back)) == text
+
+    @pytest.mark.parametrize("state", ["vector", "full-rank", "rank-deficient"])
+    def test_strategy(self, state):
+        alice = random_pvm_family(3, 2, 3, seed=16)
+        bob = random_pvm_family(2, 2, 3, seed=17)  # d < n: one zero projector per setting
+        rho = sample_state(state, 6, 18)
+        text = json.dumps(serialize.strategy_to_json(alice, bob, rho))
+        a2, b2, rho2 = serialize.strategy_from_json(json.loads(text))
+        assert same_bits(a2.projectors, alice.projectors)
+        assert same_bits(b2.projectors, bob.projectors)
+        assert same_bits(rho2, rho)
+
+    def test_signed_zeros_survive_matrix_reading(self):
+        M = np.array([[complex(-0.0, -0.0), complex(1.0, -0.0)],
+                      [complex(-0.0, 1.0), complex(0.0, 0.0)]])
+        assert np.signbit(M.real).sum() == 2 and np.signbit(M.imag).sum() == 2
+        back = serialize.matrix_from_json(json.loads(json.dumps(serialize.matrix_to_json(M))))
+        assert same_bits(back, M)
 
 
 class TestChannelAndBehaviour:
