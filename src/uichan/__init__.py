@@ -8,17 +8,15 @@ channels and Bell behaviours, and a see-saw optimizer over strategies.
 
 __version__ = "0.1.0"
 
-from .bell import (Behaviour, FourierCoeffs, behaviour_direct, behaviour_from_channel,
-                   bell_value, chsh_functional, chsh_optimal_strategy,
-                   diagonal_moment_behaviour, fourier_coeffs, normalization_functional,
-                   sub_povm_total_bound, unitaries_from_pvm)
+from .bell import (Behaviour, behaviour_direct, behaviour_from_channel, bell_value,
+                   chsh_functional, chsh_optimal_strategy, diagonal_moment_behaviour,
+                   fourier_coeffs, sub_povm_total_bound)
 from .channels import (ChannelFamily, CPTPReport, MomentTable, channel_direct,
                        channel_from_moments, choi, cptp_report, moment_table,
                        moments_from_channel)
 from .errors import (DimensionMismatchError, DomainError, InconsistentChannelError,
                      InvalidModelError, PipelineInconsistencyError)
-from .linalg import (haar_unitary, herm_eig, kron, partial_trace, permute_registers,
-                     swap_matrix, tol)
+from .linalg import herm_eig, kron, partial_trace, swap_matrix, tol
 from .models import (CommutationReport, CommutingModel, PVMFamily, TensorModel,
                      diagonal_fourier_lift, embed_tensor_as_commuting, random_model,
                      random_pvm_family, random_tensor_model, validate_commuting)
@@ -27,17 +25,15 @@ from .seesaw import (LiftVerification, SeesawConfig, SeesawResult, lift_and_veri
 
 __all__ = [
     "__version__",
-    "Behaviour", "FourierCoeffs", "behaviour_direct", "behaviour_from_channel",
-    "bell_value", "chsh_functional", "chsh_optimal_strategy",
-    "diagonal_moment_behaviour", "fourier_coeffs", "normalization_functional",
-    "sub_povm_total_bound", "unitaries_from_pvm",
+    "Behaviour", "behaviour_direct", "behaviour_from_channel", "bell_value",
+    "chsh_functional", "chsh_optimal_strategy", "diagonal_moment_behaviour",
+    "fourier_coeffs", "sub_povm_total_bound",
     "ChannelFamily", "CPTPReport", "MomentTable", "channel_direct",
     "channel_from_moments", "choi", "cptp_report", "moment_table",
     "moments_from_channel",
     "DimensionMismatchError", "DomainError", "InconsistentChannelError",
     "InvalidModelError", "PipelineInconsistencyError",
-    "haar_unitary", "herm_eig", "kron", "partial_trace", "permute_registers",
-    "swap_matrix", "tol",
+    "herm_eig", "kron", "partial_trace", "swap_matrix", "tol",
     "CommutationReport", "CommutingModel", "PVMFamily", "TensorModel",
     "diagonal_fourier_lift", "embed_tensor_as_commuting", "random_model",
     "random_pvm_family", "random_tensor_model", "validate_commuting",

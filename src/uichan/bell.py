@@ -22,43 +22,21 @@ from . import linalg
 from .channels import ChannelFamily, moments_from_channel
 from .errors import (DimensionMismatchError, DomainError, InconsistentChannelError,
                      InvalidModelError)
-from .models import CommutingModel, PVMFamily, TensorModel, _fourier_unitaries
+from .models import CommutingModel, PVMFamily, TensorModel, _fourier_phases
 
 
-@dataclass(frozen=True)
-class FourierCoeffs:
-    """c[a, a'] = (1/n) exp(-2 pi i a a'/n) for labels a, a' = 1..n."""
+def fourier_coeffs(n: int) -> np.ndarray:
+    """Read-only (n, n) table c[a, a'] = (1/n) exp(-2 pi i a a'/n) for labels a, a' = 1..n.
 
-    n: int
-    c: np.ndarray
-
-    def inverse_defect(self) -> float:
-        """Residual of sum_{a'} c[a,a'] exp(2 pi i b a'/n) = delta_ab."""
-        n = self.n
-        back = np.array([[np.exp(2j * np.pi * ((b * ap) % n) / n) for b in range(1, n + 1)]
-                         for ap in range(1, n + 1)])
-        return float(np.max(np.abs(self.c @ back - np.eye(n))))
-
-
-def fourier_coeffs(n: int) -> FourierCoeffs:
-    """Inverse-transform coefficients reconstructing projectors from the lifted unitaries."""
+    These inverse-transform coefficients recover each projector from the
+    lifted unitaries: P_{a|x} = sum_{a'} c[a, a'] u^x_{a'}.  Row a = n is
+    exactly (1/n, ..., 1/n).
+    """
     if n < 1:
         raise DimensionMismatchError(f"n must be positive, got {n}")
-    # phases evaluated at (a*a') mod n so row a = n is exactly (1/n, ..., 1/n)
-    c = np.array([[np.exp(-2j * np.pi * ((a * ap) % n) / n) / n for ap in range(1, n + 1)]
-                  for a in range(1, n + 1)])
+    c = _fourier_phases(n, -1) / n
     c.setflags(write=False)
-    return FourierCoeffs(n=n, c=c)
-
-
-def unitaries_from_pvm(family: PVMFamily) -> np.ndarray:
-    """Per-setting unitaries u^x_{a'} = sum_a exp(2 pi i a a'/n) P_{a|x}, as (m, n, d, d).
-
-    The last unitary (a' = n) is the completeness sum, i.e. the identity;
-    every projector is recovered as P_{a|x} = sum_{a'} c[a,a'] u^x_{a'}.
-    """
-    family.check()
-    return _fourier_unitaries(family.projectors, family.n)
+    return c
 
 
 @dataclass(frozen=True)
@@ -126,7 +104,7 @@ def diagonal_moment_behaviour(channel: ChannelFamily) -> np.ndarray:
     q(ab|xy) = sum_{j,k,r,s} c_aj conj(c_ak) c_br conj(c_bs) T[j,j,k,k,r,r,s,s];
     complex, returned unclamped.
     """
-    c = fourier_coeffs(channel.n).c
+    c = fourier_coeffs(channel.n)
     tdiag = np.einsum("...jjkkrrss->...jkrs", moments_from_channel(channel).tables)
     return np.einsum("aj,ak,br,bs,xyjkrs->abxy", c, np.conj(c), c, np.conj(c), tdiag)
 
@@ -143,7 +121,7 @@ def behaviour_from_channel(channel: ChannelFamily, imag_tol: float = 1e-6) -> Be
     once sum in another order and move the table in its last bits.
     """
     n, m = channel.n, channel.m
-    c = fourier_coeffs(n).c
+    c = fourier_coeffs(n)
     table = moments_from_channel(channel)
     q = diagonal_moment_behaviour(channel)
     p_hat = np.array(q)
@@ -189,11 +167,6 @@ def sub_povm_total_bound(model: TensorModel | CommutingModel) -> float:
         w = np.linalg.eigvalsh((total + np.conj(np.swapaxes(total, -1, -2))) / 2)
         worst = max(worst, float(np.max(w[:, -1])))
     return worst
-
-
-def normalization_functional(n: int, m: int) -> np.ndarray:
-    """Coefficients 1/m^2 everywhere; evaluates to 1 on any behaviour."""
-    return np.full((n, n, m, m), 1.0 / m ** 2)
 
 
 def chsh_functional() -> np.ndarray:

@@ -151,7 +151,8 @@ def coupling_unitary(model: TensorModel | CommutingModel, x: int, y: int) -> np.
     if isinstance(model, TensorModel):
         return linalg.kron(model.U[x], model.V[y])
     n, d = model.n, model.d
-    v_phys = linalg.permute_registers(model.V[y], (n, d), (1, 0))  # (H, B') legs
+    # swap the stored (B', H) legs to the physical (H, B') order
+    v_phys = model.V[y].reshape(n, d, n, d).transpose(1, 0, 3, 2).reshape(n * d, n * d)
     return linalg.kron(model.U[x], np.eye(n)) @ linalg.kron(np.eye(n), v_phys)
 
 
@@ -184,37 +185,40 @@ def channel_direct(model: TensorModel | CommutingModel, max_n: int = DEFAULT_MAX
     return ChannelFamily(n=n, m=m, supers=supers)
 
 
+def _gram(blocks: np.ndarray) -> list[np.ndarray]:
+    """Gram product G[i,j,l,k,a,c] = sum_b B[i,j,a,b] conj(B[l,k,c,b]) of each setting's blocks B.
+
+    ``blocks`` is an (m, n, n, d, d) stack of operator entries; one G per setting.
+    """
+    return [np.einsum("ijab,lkcb->ijlkac", b, np.conj(b)) for b in blocks]
+
+
 def moment_table(model: TensorModel | CommutingModel, max_n: int = DEFAULT_MAX_N) -> MomentTable:
     """Moments of entry products of the coupling unitaries against the model state.
 
     For tensor models the two legs form a genuine tensor product across
     H_A / H_B before the state is applied; for commuting models they
-    multiply inside the one algebra.
+    multiply inside the one algebra.  Each party's Gram products are formed
+    once per setting.
     """
     _check_model(model)
     n, m = model.n, model.m
     _guard_n(n, max_n)
-    tables = np.empty((m, m) + (n,) * 8, dtype=complex)
+    # each kind keeps its own operand order: einsum's path, and so the bits, follow it
     if isinstance(model, TensorModel):
         sig4 = model.density().reshape(model.dA, model.dB, model.dA, model.dB)
-        for x in range(m):
-            ub = model.u_blocks(x)
-            PA = np.einsum("ijab,lkcb->ijlkac", ub, np.conj(ub))
-            for y in range(m):
-                vb = model.v_blocks(y)
-                PB = np.einsum("prab,tscb->prtsac", vb, np.conj(vb))
-                tables[x, y] = np.einsum("ijlkAa,prtsBb,abAB->ijlkprts", PA, PB, sig4,
-                                         optimize=True)
+
+        def contract(GA, GB):
+            return np.einsum("ijlkAa,prtsBb,abAB->ijlkprts", GA, GB, sig4, optimize=True)
     else:
         sigma = model.density()
-        for x in range(m):
-            ub = model.u_blocks(x)
-            MA = np.einsum("ijab,lkcb->ijlkac", ub, np.conj(ub))
-            for y in range(m):
-                vb = model.v_blocks(y)
-                MB = np.einsum("prab,tscb->prtsac", vb, np.conj(vb))
-                tables[x, y] = np.einsum("ef,ijlkfg,prtsge->ijlkprts", sigma, MA, MB,
-                                         optimize=True)
+
+        def contract(GA, GB):
+            return np.einsum("ef,ijlkfg,prtsge->ijlkprts", sigma, GA, GB, optimize=True)
+    GU, GV = _gram(model.u_blocks()), _gram(model.v_blocks())
+    tables = np.empty((m, m) + (n,) * 8, dtype=complex)
+    for x, y in np.ndindex(m, m):
+        tables[x, y] = contract(GU[x], GV[y])
     return MomentTable(n=n, m=m, tables=tables)
 
 

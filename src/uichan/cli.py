@@ -131,9 +131,8 @@ def cmd_verify(args) -> int:
                        "tolerance": tolerance, "pass": bool(defect <= tolerance)})
 
     defects = model.defects()
-    dim = model.n * (model.dA if isinstance(model, models.TensorModel) else model.d)
-    add("unitarity", defects["unitarity"], linalg.tol(dim))
-    add("state", defects["state"], linalg.tol(dim))
+    add("unitarity", defects["unitarity"], model.tolerance)
+    add("state", defects["state"], model.tolerance)
     if isinstance(model, models.CommutingModel):
         rep = models.validate_commuting(model)
         add("commutation", rep.max_commutator, rep.tolerance)
@@ -338,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dB", type=int, default=2)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--rel-tol", type=float, default=1e-9)
+    p.add_argument("--rel-tol", type=_finite_float, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_seesaw)

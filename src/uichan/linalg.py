@@ -102,18 +102,6 @@ def partial_trace(M: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     return np.einsum("atbt->ab", X)
 
 
-def permute_registers(M: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Conjugate by the register permutation: output register j is input register perm[j]."""
-    A = as_matrix(M)
-    ds = check_register_dims(dims, A.shape[0])
-    r = len(ds)
-    p = tuple(int(i) for i in perm)
-    if sorted(p) != list(range(r)):
-        raise DimensionMismatchError(f"perm {p} is not a bijection on {r} registers")
-    axes = list(p) + [r + i for i in p]
-    return A.reshape(ds + ds).transpose(axes).reshape(A.shape)
-
-
 def hermiticity_defect(M: np.ndarray) -> float:
     """Frobenius norm of M - M^dag."""
     A = as_matrix(M)
@@ -143,19 +131,14 @@ def herm_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, Q
 
 
-def haar_unitary(d: int, seed: int) -> np.ndarray:
-    """Haar-distributed d x d unitary, deterministic for a fixed seed.
+def haar_unitary_from(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Haar-distributed d x d unitary drawn from the generator.
 
     Ginibre sample followed by QR with the R diagonal phase-fixed, which
     makes the distribution exactly Haar rather than merely unitary.
     """
     if d < 1:
         raise DimensionMismatchError(f"dimension must be positive, got {d}")
-    return haar_unitary_from(rng_from_seed(seed), d)
-
-
-def haar_unitary_from(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Haar unitary drawn from an existing generator."""
     Z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
     Q, R = np.linalg.qr(Z)
     ph = np.diag(R).copy()

@@ -123,6 +123,15 @@ class _Model:
     def defects(self) -> dict[str, float]:
         return {"unitarity": _worst_unitarity(self.U, self.V), "state": _state_defect(self.state)}
 
+    @property
+    def tolerance(self) -> float:
+        """``tol`` of the largest stored coupling unitary; every model check uses it."""
+        return linalg.tol(max(self.U.shape[-1], self.V.shape[-1]))
+
+    def check(self, tol_abs: float | None = None) -> None:
+        t = self.tolerance if tol_abs is None else tol_abs
+        _require_within(type(self).__name__, self.defects(), t)
+
 
 @dataclass(frozen=True)
 class TensorModel(_Model):
@@ -158,10 +167,6 @@ class TensorModel(_Model):
         V = V.reshape(V.shape[:-2] + (self.dB, self.n, self.dB, self.n))
         return np.moveaxis(V, (-3, -1), (-4, -3))
 
-    def check(self, tol_abs: float | None = None) -> None:
-        t = linalg.tol(max(self.n * self.dA, self.dB * self.n)) if tol_abs is None else tol_abs
-        _require_within("tensor model", self.defects(), t)
-
 
 @dataclass(frozen=True)
 class CommutingModel(_Model):
@@ -190,16 +195,12 @@ class CommutingModel(_Model):
         """Operator entries of V[y] as (n, n, d, d); without y, (m, n, n, d, d) for all settings."""
         return self._blocks(self.V[y])
 
-    def check(self, tol_abs: float | None = None) -> None:
-        t = linalg.tol(self.n * self.d) if tol_abs is None else tol_abs
-        _require_within("commuting model", self.defects(), t)
-
     @cached_property
     def commutation(self) -> CommutationReport:
         """Entrywise commutation report; see ``validate_commuting``."""
         worst = _worst_commutator(self)
         uni = _worst_unitarity(self.U, self.V)
-        t = linalg.tol(self.n * self.d)
+        t = self.tolerance
         return CommutationReport(
             max_commutator=worst,
             max_unitarity_defect=uni,
@@ -294,18 +295,27 @@ def embed_tensor_as_commuting(model: TensorModel) -> CommutingModel:
     return CommutingModel(n=n, m=m, d=d, state=model.state, U=U, V=V.reshape(m, n * d, n * d))
 
 
+def _fourier_phases(n: int, sign: int) -> np.ndarray:
+    """Table exp(sign 2 pi i ((a a') mod n)/n) over labels a, a' = 1..n; it is symmetric.
+
+    Phases are evaluated at (a a') mod n so that row and column n are
+    exactly one.  Each entry is a separate scalar ``np.exp``: an exp over
+    the whole table rounds some entries differently (n = 6).
+    """
+    return np.array([[np.exp(sign * 2j * np.pi * ((a * ap) % n) / n) for ap in range(1, n + 1)]
+                     for a in range(1, n + 1)])
+
+
 def _fourier_unitaries(projectors: np.ndarray, n: int) -> np.ndarray:
     """u[x, a'-1] = sum_a exp(2 pi i a a'/n) P[x, a-1] for labels a, a' = 1..n.
 
     Takes an (m, n, d, d) projector stack and returns the (m, n, d, d) stack of
-    unitaries, summed outcome by outcome.  Phases are evaluated at
-    (a * a') mod n so that u_n is exactly the completeness sum of the
-    projectors.  Raises if any u is not unitary within tol(d), which means
-    the projectors do not form a PVM.
+    unitaries, summed outcome by outcome; u_n is exactly the completeness sum
+    of the projectors.  Raises if any u is not unitary within tol(d), which
+    means the projectors do not form a PVM.
     """
     d = projectors.shape[-1]
-    phases = np.array([[np.exp(2j * np.pi * ((a * ap) % n) / n) for a in range(1, n + 1)]
-                       for ap in range(1, n + 1)])
+    phases = _fourier_phases(n, 1)
     u = np.zeros(projectors.shape, dtype=complex)
     for a in range(n):
         u += phases[:, a, None, None] * projectors[:, None, a]

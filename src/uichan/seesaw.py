@@ -41,8 +41,8 @@ class SeesawConfig:
     def __post_init__(self):
         if min(self.dA, self.dB, self.n, self.m) < 1:
             raise DimensionMismatchError("dims, n, m must be positive")
-        if self.rel_tol <= 0:
-            raise DimensionMismatchError("rel_tol must be positive")
+        if not (0 < self.rel_tol < np.inf):  # a NaN rel_tol would never stop a restart
+            raise DimensionMismatchError(f"rel_tol must be finite and positive, got {self.rel_tol}")
         if self.max_iters < 1 or self.restarts < 1:
             raise DimensionMismatchError("max_iters and restarts must be positive")
 

@@ -178,13 +178,6 @@ def table_from_json(doc: dict[str, Any]) -> np.ndarray:
     return t
 
 
-def table_to_json(n: int, m: int, t: np.ndarray) -> dict[str, Any]:
-    arr = np.asarray(t, dtype=float)
-    if arr.shape != (n, n, m, m):
-        raise DimensionMismatchError(f"table shape {arr.shape} does not match n={n}, m={m}")
-    return {"n": n, "m": m, "p": arr.tolist()}
-
-
 def dumps(doc: Any, indent: int | None = 2) -> str:
     """Deterministic JSON text (insertion order preserved, repr round-trip floats)."""
     return json.dumps(doc, indent=indent, allow_nan=False)

@@ -11,13 +11,13 @@ import numpy as np
 from uichan import linalg
 from uichan.bell import (Behaviour, behaviour_from_channel, bell_value, chsh_functional,
                          chsh_optimal_strategy, diagonal_moment_behaviour, fourier_coeffs,
-                         sub_povm_total_bound, unitaries_from_pvm)
+                         sub_povm_total_bound)
 from uichan.channels import channel_direct, channel_from_moments, cptp_report, moment_table
 from uichan.models import (TensorModel, diagonal_fourier_lift, embed_tensor_as_commuting,
                            random_pvm_family, random_tensor_model)
 from uichan.seesaw import SeesawConfig, optimize_bell
 
-from oracles import lastcond_contraction
+from oracles import lastcond_contraction, unitaries_from_pvm
 
 GRID = [(n, m, dA, dB)
         for n in (2, 3) for m in (1, 2) for dA in (2, 3) for dB in (2, 3)]
@@ -107,7 +107,7 @@ def test_criterion_5_fourier_bridge():
     for i in range(50):
         n, d = cases[i % len(cases)]
         fam = random_pvm_family(d, 2, n, seed=5000 + i)
-        c = fourier_coeffs(n).c
+        c = fourier_coeffs(n)
         us = unitaries_from_pvm(fam)
         for x in range(2):
             worst_id = max(worst_id, float(np.max(np.abs(us[x][-1] - np.eye(d)))))

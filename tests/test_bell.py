@@ -7,14 +7,13 @@ from numpy.testing import assert_allclose
 from uichan import linalg
 from uichan.bell import (Behaviour, behaviour_direct, behaviour_from_channel, bell_value,
                          chsh_functional, chsh_optimal_strategy, diagonal_moment_behaviour,
-                         fourier_coeffs, normalization_functional, sub_povm_total_bound,
-                         unitaries_from_pvm)
+                         fourier_coeffs, sub_povm_total_bound)
 from uichan.channels import channel_direct, moments_from_channel
 from uichan.errors import DimensionMismatchError, DomainError, InvalidModelError
 from uichan.models import (PVMFamily, diagonal_fourier_lift, random_pvm_family,
                            random_tensor_model)
 
-from oracles import lastcond_contraction
+from oracles import lastcond_contraction, unitaries_from_pvm
 
 CHSH_OPTIMUM = (2 + np.sqrt(2)) / 4
 
@@ -49,14 +48,27 @@ def born_table_oracle(alice, bob, psi):
 
 class TestFourierCoeffs:
     def test_n1(self):
-        assert_allclose(fourier_coeffs(1).c, [[1.0]], atol=0)
+        assert_allclose(fourier_coeffs(1), [[1.0]], atol=0)
 
     def test_n2_frozen(self):
-        assert_allclose(fourier_coeffs(2).c, [[-0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+        c = fourier_coeffs(2)
+        assert_allclose(c, [[-0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+        assert not c.flags.writeable
 
     def test_inverse_relation(self):
+        # sum_{a'} c[a, a'] exp(2 pi i b a'/n) = delta_ab
         for n in (2, 3, 5):
-            assert fourier_coeffs(n).inverse_defect() <= 1e-12
+            k = np.arange(1, n + 1)
+            back = np.exp(2j * np.pi * np.outer(k, k) / n)
+            assert np.max(np.abs(fourier_coeffs(n) @ back - np.eye(n))) <= 1e-12
+
+    def test_byte_equal_to_entrywise_formula(self):
+        # the formula entry by entry, as a scalar exp each: an exp over the whole table rounds
+        # some entries differently at n = 6, and conj(exp(+...)) flips signed zeros
+        for n in range(1, 9):
+            c = np.array([[np.exp(-2j * np.pi * ((a * ap) % n) / n) / n
+                           for ap in range(1, n + 1)] for a in range(1, n + 1)])
+            assert fourier_coeffs(n).tobytes() == c.tobytes()
 
 
 class TestUnitariesFromPVM:
@@ -81,7 +93,7 @@ class TestUnitariesFromPVM:
         # P_{a|x} = sum_{a'} c[a, a'] u^x_{a'}
         for n, d in [(2, 2), (3, 3), (3, 2)]:
             fam = random_pvm_family(d, 2, n, seed=n * 10 + d)
-            c = fourier_coeffs(n).c
+            c = fourier_coeffs(n)
             us = unitaries_from_pvm(fam)
             for x in range(2):
                 total = np.zeros((d, d), dtype=complex)
@@ -144,7 +156,7 @@ class TestBellValue:
     def test_normalization_functional(self):
         alice, bob, psi = random_qubit_strategy(3)
         b = behaviour_direct(alice, bob, psi)
-        assert abs(bell_value(b, normalization_functional(2, 2)) - 1.0) <= 1e-12
+        assert abs(bell_value(b, np.full((2, 2, 2, 2), 1 / 2 ** 2)) - 1.0) <= 1e-12
 
     def test_classical_deterministic_bound(self):
         # oracle: enumerate all 16 deterministic strategies
@@ -233,7 +245,7 @@ class TestLastcondContraction:
 
     def test_batched_table_equals_per_cell_contraction(self):
         for n in (2, 3, 4):
-            c = fourier_coeffs(n).c
+            c = fourier_coeffs(n)
             fam = channel_direct(random_tensor_model(n, 2, 2, 1, seed=85 + n))
             tables = moments_from_channel(fam).tables
             q = diagonal_moment_behaviour(fam)

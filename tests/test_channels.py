@@ -12,6 +12,8 @@ from uichan.errors import DimensionMismatchError, DomainError, InvalidModelError
 from uichan.models import (CommutingModel, TensorModel, embed_tensor_as_commuting,
                            random_model, random_tensor_model)
 
+from oracles import permute_registers, unitaries_from_pvm
+
 
 def identity_model(n, dA, dB, seed=0):
     rng = linalg.rng_from_seed(seed)
@@ -66,7 +68,7 @@ class TestChannelDirect:
             for col in range(n * n):
                 E = np.zeros((n * n, n * n), dtype=complex)
                 E[row, col] = 1.0
-                X = linalg.permute_registers(linalg.kron(E, sigma), (n, n, dA, dB), (0, 2, 3, 1))
+                X = permute_registers(linalg.kron(E, sigma), (n, n, dA, dB), (0, 2, 3, 1))
                 out = linalg.partial_trace(W.conj().T @ X @ W, (n, dA, dB, n), [0, 3])
                 assert_allclose(fam.supers[0][0][:, row * n * n + col],
                                 out.reshape(-1), atol=1e-13)
@@ -164,7 +166,7 @@ class TestMomentChannelRoundTrips:
 
     def test_recovered_moments_match_state_expectations(self):
         # diagonal moments of a lifted strategy equal <psi| u_j u_k^dag x v_r v_s^dag |psi>
-        from uichan.bell import chsh_optimal_strategy, unitaries_from_pvm
+        from uichan.bell import chsh_optimal_strategy
         from uichan.models import diagonal_fourier_lift
         alice, bob, psi = chsh_optimal_strategy()
         lift = diagonal_fourier_lift(alice, bob, psi)

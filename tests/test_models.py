@@ -4,9 +4,9 @@ from numpy.testing import assert_allclose
 
 from uichan import linalg
 from uichan.errors import DimensionMismatchError, DomainError, InvalidModelError
-from uichan.models import (CommutingModel, PVMFamily, TensorModel, diagonal_fourier_lift,
-                           embed_tensor_as_commuting, random_model, random_pvm_family,
-                           random_tensor_model, validate_commuting)
+from uichan.models import (CommutingModel, PVMFamily, TensorModel, _fourier_unitaries,
+                           diagonal_fourier_lift, embed_tensor_as_commuting, random_model,
+                           random_pvm_family, random_tensor_model, validate_commuting)
 
 
 #: finite entries whose products overflow to inf - inf, so defects come out NaN
@@ -337,6 +337,17 @@ class TestDiagonalFourierLift:
                     assert vb[ap - 1, ap - 1].tobytes() == u.tobytes()
                 off = ~np.eye(n, dtype=bool)
                 assert not np.any(ub[off]) and not np.any(vb[off])
+
+    def test_fourier_unitaries_byte_equal_to_entrywise_formula(self):
+        # phases as one scalar exp per entry (an exp over the whole table moves bits at n = 6)
+        for n in range(1, 9):
+            fam = random_pvm_family(3, 2, n, seed=n)
+            us = _fourier_unitaries(fam.projectors, n)
+            for x, ap in np.ndindex(2, n):
+                u = np.zeros((3, 3), dtype=complex)
+                for a in range(n):
+                    u += np.exp(2j * np.pi * (((a + 1) * (ap + 1)) % n) / n) * fam.projectors[x, a]
+                assert us[x, ap].tobytes() == u.tobytes()
 
     def test_mismatched_families(self):
         with pytest.raises(DimensionMismatchError):

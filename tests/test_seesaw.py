@@ -9,7 +9,37 @@ from uichan.models import random_pvm_family
 from uichan.seesaw import (SeesawConfig, SeesawResult, _bell_operator, _update_party,
                            lift_and_verify, optimize_bell)
 
+from oracles import local_bound
+
 CHSH_OPTIMUM = (2 + np.sqrt(2)) / 4
+
+
+def i3322():
+    """I3322 (Collins and Gisin 2004), the table the benchmark's see-saw workload builds.
+
+    I = -2 pA(1|1) - pA(1|2) - pB(1|1) + sum_xy c[x][y] p(11|xy) with
+    c = [[1, 1, 1], [1, 1, -1], [1, -1, 0]]; qubits reach 0.25.
+    """
+    f = np.zeros((2, 2, 3, 3))
+    f[0, :, :, 0] += np.array([-2.0, -1.0, 0.0])
+    f[:, 0, 0, :] += np.array([-1.0, 0.0, 0.0])
+    f[0, 0] += np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, 0.0]])
+    return f
+
+
+def cglmp3():
+    """CGLMP for three outcomes: P(A1=B1) + P(B1=A2+1) + P(A2=B2) + P(B2=A1) minus
+    P(A1=B1-1) + P(B1=A2) + P(A2=B2-1) + P(B2=A1-1), outcomes mod 3.
+
+    Qutrits reach 1 + sqrt(11/3) = 2.914854 with a non-maximally entangled state.
+    """
+    a, b = np.indices((3, 3))
+    f = np.zeros((3, 3, 2, 2))
+    f[:, :, 0, 0] = (a == b) * 1.0 - (a == (b - 1) % 3)
+    f[:, :, 1, 0] = (b == (a + 1) % 3) * 1.0 - (b == a)
+    f[:, :, 1, 1] = (a == b) * 1.0 - (a == (b - 1) % 3)
+    f[:, :, 0, 1] = (b == a) * 1.0 - (b == (a - 1) % 3)
+    return f
 
 
 def fixed_outcome_functional(m):
@@ -89,10 +119,53 @@ class TestOptimizeBell:
             optimize_bell(np.zeros((3, 3, 2, 2)), cfg)
 
     def test_config_validation(self):
-        with pytest.raises(DimensionMismatchError):
-            SeesawConfig(rel_tol=0.0)
+        # a NaN rel_tol would never stop a restart
+        for bad in (0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(DimensionMismatchError):
+                SeesawConfig(rel_tol=bad)
         with pytest.raises(DimensionMismatchError):
             SeesawConfig(restarts=0)
+
+
+class TestHardFunctionals:
+    """Functionals whose optimum a broken update would miss; default restarts and iterations."""
+
+    def test_i3322_qubits(self):
+        f = i3322()
+        assert local_bound(f) == 0.0
+        for seed in range(4):
+            res = optimize_bell(f, SeesawConfig(dA=2, dB=2, n=2, m=3, seed=seed))
+            assert 0.25 - 1e-8 <= res.value <= 0.2508754
+
+    def test_cglmp3_qutrits(self):
+        f = cglmp3()
+        assert local_bound(f) == 2.0
+        for seed in range(3):
+            res = optimize_bell(f, SeesawConfig(dA=3, dB=3, n=3, m=2, seed=seed))
+            assert not res.exact_updates
+            assert abs(res.value - (1 + np.sqrt(11 / 3))) <= 1e-8
+
+    @staticmethod
+    def shortfalls(cases):
+        """(case, trial, value - local bound) for each random functional the see-saw ends below."""
+        rng = np.random.default_rng(2024)
+        out = []
+        for n, m, d in cases:
+            for trial in range(4):
+                f = rng.standard_normal((n, n, m, m))
+                res = optimize_bell(f, SeesawConfig(dA=d, dB=d, n=n, m=m, restarts=5, seed=trial))
+                if res.value < local_bound(f) - 1e-9:
+                    out.append(((n, m, d), trial, res.value - local_bound(f)))
+        return out
+
+    def test_random_functionals_reach_local_bound(self):
+        # two outcomes: every measurement update is the exact subproblem optimum
+        assert self.shortfalls([(2, 2, 2), (2, 3, 2), (2, 2, 3)]) == []
+
+    @pytest.mark.xfail(strict=True, reason="the three-outcome pairwise exchange can stall below "
+                                           "the local bound (trial 2 at d = 2 ends 0.31 short)")
+    def test_three_outcome_heuristic_reaches_local_bound(self):
+        assert self.shortfalls([(3, 2, 2), (3, 2, 3)]) == []
 
 
 class TestUpdateOptimality:
