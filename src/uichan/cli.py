@@ -47,7 +47,8 @@ def _read_json(path: str) -> dict:
     return doc
 
 
-def _emit(args, payload: dict, inputs: dict[str, str], t0: float) -> None:
+def _emit(args, payload: dict, inputs: dict[str, str], t0: float, **extra) -> None:
+    """Write payload and manifest; ``extra`` entries go into the manifest, never the payload."""
     indent = args.json_indent if args.json_indent >= 0 else None
     config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     payload_text = serialize.dumps(payload, indent)
@@ -60,6 +61,7 @@ def _emit(args, payload: dict, inputs: dict[str, str], t0: float) -> None:
                    for name, path in inputs.items()},
         "payload_sha256": serialize.sha256_text(payload_text),
         "wall_ms": round((time.perf_counter() - t0) * 1000.0, 3),
+        **extra,
     }
     text = serialize.dumps_document(payload_text, manifest, indent)
     del payload_text  # channel payloads run to tens of MB: hold one copy while writing
@@ -212,7 +214,8 @@ def cmd_seesaw(args) -> int:
             "pass": verification.ok,
         },
     }
-    _emit(args, payload, inputs, t0)
+    restarts = [{"value": v, "sweeps": sweeps, "stop": stop} for v, sweeps, stop in result.restarts]
+    _emit(args, payload, inputs, t0, restarts=restarts)
     return EXIT_OK if verification.ok else EXIT_CHECK_FAILED
 
 

@@ -58,6 +58,7 @@ class SeesawResult:
     exact_updates: bool
     restart_index: int
     config: SeesawConfig
+    restarts: tuple[tuple[float, int, str], ...]  # (value, sweeps, stop) per restart
 
 
 def _bell_operator(f: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -87,70 +88,98 @@ def _positive_eigenspace_split(delta: np.ndarray, pi: np.ndarray) -> tuple[np.nd
     return P_pos, pi - P_pos
 
 
-def _update_party(scores: list[list[np.ndarray]], P: np.ndarray, d: int, n: int) -> np.ndarray:
+def _hermitize(R: np.ndarray) -> np.ndarray:
+    return (R + np.conj(R).swapaxes(-1, -2)) / 2
+
+
+def _update_party(scores: np.ndarray, P: np.ndarray, d: int, n: int) -> np.ndarray:
     """Exact pairwise-exchange update of one party's PVMs per setting.
 
-    scores[x][a] is the Hermitian matrix R_{a|x}; the per-setting objective
+    scores[x, a] is the Hermitian matrix R_{a|x}; the per-setting objective
     is sum_a Tr[P_{a|x} R_{a|x}].  For n = 2 a single exchange is the exact
-    subproblem optimum.  Returns the updated (m, n, d, d) projector stack.
+    subproblem optimum, taken for every setting from one stacked eigh.
+    Returns the updated (m, n, d, d) projector stack.
     """
-    eye = np.eye(d)
+    scores = np.asarray(scores)
+    if n == 2:
+        delta = scores[:, 0] - scores[:, 1]
+        w, vecs = np.linalg.eigh(_hermitize(delta))
+        out = np.empty((len(scores), 2, d, d), dtype=complex)
+        for x in range(len(scores)):
+            pos = vecs[x][:, w[x] > 0.0]
+            out[x, 0] = pos @ dag(pos)
+            out[x, 1] = np.eye(d) - out[x, 0]
+        return out
     out = np.array(P, dtype=complex)
     for x in range(len(scores)):
         for a in range(n):
             for b in range(a + 1, n):
-                pi = out[x, a] + out[x, b] if n > 2 else eye
-                out[x, a], out[x, b] = _positive_eigenspace_split(scores[x][a] - scores[x][b], pi)
+                out[x, a], out[x, b] = _positive_eigenspace_split(
+                    scores[x, a] - scores[x, b], out[x, a] + out[x, b])
     return out
 
 
-def _evaluate(f: np.ndarray, P: np.ndarray, Q: np.ndarray, psi: np.ndarray) -> float:
-    B = _bell_operator(f, P, Q)
-    return float(np.real(np.conj(psi) @ B @ psi))
+def _weighted_sums(f: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """S[x, a] = sum_{y,b} f[a, b, x, y] Q[y, b] as an (m, n, d, d) stack, added in (y, b) order."""
+    m, n = Q.shape[:2]
+    S = 0
+    for y in range(m):
+        for b in range(n):
+            S = S + f[:, b, :, y].T[:, :, None, None] * Q[y, b]
+    return S
+
+
+def _alice_scores(f: np.ndarray, Q: np.ndarray, rho: np.ndarray, dA: int, dB: int) -> np.ndarray:
+    """R[x, a] = Tr_B[(I x S[x, a]) rho] for every setting and outcome of Alice."""
+    S = _weighted_sums(f, Q)
+    R = (S[:, :, None] @ rho.reshape(dA, dB, dA * dB)).reshape(S.shape[:2] + (dA, dB, dA, dB))
+    return _hermitize(np.einsum("...atbt->...ab", R))
+
+
+def _bob_scores(f: np.ndarray, P: np.ndarray, rho: np.ndarray, dA: int, dB: int) -> np.ndarray:
+    """R[y, b] = Tr_A[(S[y, b] x I) rho] for every setting and outcome of Bob.
+
+    S acts on A's row index with B's row index as the batch axis; applying
+    the Alice form to rho with its registers swapped moves the last bits.
+    """
+    S = _weighted_sums(f.transpose(1, 0, 3, 2), P)
+    rows = rho.reshape(dA, dB, dA, dB).transpose(1, 0, 2, 3).reshape(dB, dA, dA * dB)
+    R = (S[:, :, None] @ rows).swapaxes(2, 3).reshape(S.shape[:2] + (dA, dB, dA, dB))
+    return _hermitize(np.einsum("...tatb->...ab", R))
 
 
 def _seesaw_once(f: np.ndarray, cfg: SeesawConfig, rng: np.random.Generator):
+    """One restart: (value, P, Q, psi, trace, stop).
+
+    stop is "decreased" when the last sweep lowered the value by more than the
+    tolerance, "max_iters" when the sweep limit ended the restart, and
+    "converged" otherwise.
+    """
     n, m, dA, dB = cfg.n, cfg.m, cfg.dA, cfg.dB
     P = random_pvm_family(dA, m, n, rng=rng).projectors
     Q = random_pvm_family(dB, m, n, rng=rng).projectors
     psi = linalg.haar_state_vector(rng, dA * dB)
     trace: list[float] = []
     prev = -np.inf
+    stop = "max_iters"
+    B = _bell_operator(f, P, Q)
     for _ in range(cfg.max_iters):
         # state step: top eigenvector of the Bell operator
-        B = _bell_operator(f, P, Q)
         _, vecs = linalg.herm_eig(B)
         psi = vecs[:, -1]
         rho = np.outer(psi, np.conj(psi))
+        P = _update_party(_alice_scores(f, Q, rho, dA, dB), P, dA, n)
+        Q = _update_party(_bob_scores(f, P, rho, dA, dB), Q, dB, n)
 
-        # Alice step: R_{a|x} = Tr_B[(I x sum_{b,y} f_{abxy} Q_{b|y}) rho]
-        scores_a = []
-        for x in range(m):
-            row = []
-            for a in range(n):
-                S = sum(f[a, b, x, y] * Q[y][b] for y in range(m) for b in range(n))
-                R = linalg.partial_trace(linalg.kron(np.eye(dA), S) @ rho, (dA, dB), [0])
-                row.append((R + dag(R)) / 2)
-            scores_a.append(row)
-        P = _update_party(scores_a, P, dA, n)
-
-        # Bob step, symmetric
-        scores_b = []
-        for y in range(m):
-            row = []
-            for b in range(n):
-                S = sum(f[a, b, x, y] * P[x][a] for x in range(m) for a in range(n))
-                R = linalg.partial_trace(linalg.kron(S, np.eye(dB)) @ rho, (dA, dB), [1])
-                row.append((R + dag(R)) / 2)
-            scores_b.append(row)
-        Q = _update_party(scores_b, Q, dB, n)
-
-        val = _evaluate(f, P, Q, psi)
+        B = _bell_operator(f, P, Q)  # also the next sweep's state step
+        val = float(np.real(np.conj(psi) @ B @ psi))
         trace.append(val)
-        if val - prev < cfg.rel_tol * max(1.0, abs(val)):
+        step = cfg.rel_tol * max(1.0, abs(val))
+        if val - prev < step:
+            stop = "decreased" if val < prev - step else "converged"
             break
         prev = val
-    return trace[-1], P, Q, psi, trace
+    return trace[-1], P, Q, psi, trace, stop
 
 
 def optimize_bell(f: np.ndarray, cfg: SeesawConfig) -> SeesawResult:
@@ -166,9 +195,11 @@ def optimize_bell(f: np.ndarray, cfg: SeesawConfig) -> SeesawResult:
         )
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     best = None
+    restarts = []
     for r in range(cfg.restarts):
         rng = np.random.Generator(np.random.Philox(children[r]))
-        val, P, Q, psi, trace = _seesaw_once(f, cfg, rng)
+        val, P, Q, psi, trace, stop = _seesaw_once(f, cfg, rng)
+        restarts.append((val, len(trace), stop))
         if best is None or val > best[0]:
             best = (val, P, Q, psi, trace, r)
     val, P, Q, psi, trace, r = best
@@ -178,6 +209,7 @@ def optimize_bell(f: np.ndarray, cfg: SeesawConfig) -> SeesawResult:
     return SeesawResult(
         value=val, alice=alice, bob=bob, state=psi, trace=tuple(trace),
         lifted=lifted, exact_updates=(cfg.n == 2), restart_index=r, config=cfg,
+        restarts=tuple(restarts),
     )
 
 

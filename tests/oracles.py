@@ -46,6 +46,35 @@ def local_bound(f: np.ndarray) -> float:
                for b in itertools.product(range(n), repeat=m))
 
 
+def alice_scores_by_kron(f: np.ndarray, Q: np.ndarray, rho: np.ndarray, dA: int,
+                         dB: int) -> np.ndarray:
+    """See-saw scores of Alice, one Kronecker product and partial trace per setting and outcome.
+
+    R[x, a] = Tr_B[(I x S) rho] with S = sum_{y,b} f[a,b,x,y] Q[y][b], hermitized.
+    """
+    n, m = f.shape[0], f.shape[2]
+    out = np.empty((m, n, dA, dA), dtype=complex)
+    for x in range(m):
+        for a in range(n):
+            S = sum(f[a, b, x, y] * Q[y][b] for y in range(m) for b in range(n))
+            R = linalg.partial_trace(linalg.kron(np.eye(dA), S) @ rho, (dA, dB), [0])
+            out[x, a] = (R + linalg.dag(R)) / 2
+    return out
+
+
+def bob_scores_by_kron(f: np.ndarray, P: np.ndarray, rho: np.ndarray, dA: int,
+                       dB: int) -> np.ndarray:
+    """See-saw scores of Bob: R[y, b] = Tr_A[(S x I) rho], S = sum_{x,a} f[a,b,x,y] P[x][a]."""
+    n, m = f.shape[0], f.shape[2]
+    out = np.empty((m, n, dB, dB), dtype=complex)
+    for y in range(m):
+        for b in range(n):
+            S = sum(f[a, b, x, y] * P[x][a] for x in range(m) for a in range(n))
+            R = linalg.partial_trace(linalg.kron(S, np.eye(dB)) @ rho, (dA, dB), [1])
+            out[y, b] = (R + linalg.dag(R)) / 2
+    return out
+
+
 def lastcond_contraction(channel: ChannelFamily, a: int, b: int, x: int, y: int) -> complex:
     """Fourier contraction of the matrix-unit responses of one member channel.
 

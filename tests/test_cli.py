@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +250,29 @@ class TestPipelineAndSeesaw:
         assert main(["seesaw", "-f", str(fpath), "--restarts", "2",
                      "--seed", "5", "-o", str(out)]) == 0
         assert read_payload(out)["value"] >= 0.75
+
+    def test_seesaw_restarts_in_manifest_only(self, tmp_path):
+        out = tmp_path / "seesaw.json"
+        assert main(["seesaw", "--preset", "chsh", "-o", str(out)]) == 0
+        with open(out) as fh:
+            doc = json.load(fh)
+        payload, restarts = doc["payload"], doc["manifest"]["restarts"]
+        assert "restarts" not in payload
+        assert doc["manifest"]["payload_sha256"] == serialize.sha256_text(
+            serialize.dumps(payload, 2))
+        assert len(restarts) == 20
+        assert all(r["stop"] in ("converged", "decreased", "max_iters") for r in restarts)
+        best = restarts[payload["restart_index"]]
+        assert best["value"] == payload["value"] and best["sweeps"] == len(payload["trace"])
+
+
+def test_python_m_uichan_help():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "uichan", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "seesaw" in proc.stdout
 
 
 class TestSwapDemo:

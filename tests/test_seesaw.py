@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,10 +8,11 @@ from uichan import linalg
 from uichan.bell import chsh_functional
 from uichan.errors import DimensionMismatchError, PipelineInconsistencyError
 from uichan.models import random_pvm_family
-from uichan.seesaw import (SeesawConfig, SeesawResult, _bell_operator, _update_party,
-                           lift_and_verify, optimize_bell)
+from uichan.seesaw import (SeesawConfig, _alice_scores, _bell_operator, _bob_scores,
+                           _positive_eigenspace_split, _update_party, lift_and_verify,
+                           optimize_bell)
 
-from oracles import local_bound
+from oracles import alice_scores_by_kron, bob_scores_by_kron, local_bound
 
 CHSH_OPTIMUM = (2 + np.sqrt(2)) / 4
 
@@ -136,6 +139,8 @@ class TestHardFunctionals:
         for seed in range(4):
             res = optimize_bell(f, SeesawConfig(dA=2, dB=2, n=2, m=3, seed=seed))
             assert 0.25 - 1e-8 <= res.value <= 0.2508754
+            assert len(res.restarts) == 20
+            assert {stop for _, _, stop in res.restarts} <= {"converged", "max_iters"}
 
     def test_cglmp3_qutrits(self):
         f = cglmp3()
@@ -144,6 +149,7 @@ class TestHardFunctionals:
             res = optimize_bell(f, SeesawConfig(dA=3, dB=3, n=3, m=2, seed=seed))
             assert not res.exact_updates
             assert abs(res.value - (1 + np.sqrt(11 / 3))) <= 1e-8
+            assert {stop for _, _, stop in res.restarts} <= {"converged", "max_iters"}
 
     @staticmethod
     def shortfalls(cases):
@@ -166,6 +172,47 @@ class TestHardFunctionals:
                                            "the local bound (trial 2 at d = 2 ends 0.31 short)")
     def test_three_outcome_heuristic_reaches_local_bound(self):
         assert self.shortfalls([(3, 2, 2), (3, 2, 3)]) == []
+
+
+class TestStackedSweep:
+    """The stacked score steps and update repeat the per-matrix forms bit for bit."""
+
+    @pytest.mark.parametrize("dA, dB", [(1, 3), (2, 3), (3, 2), (3, 3), (4, 5), (5, 4), (8, 8)])
+    def test_scores_equal_kron_partial_trace_bit_for_bit(self, dA, dB):
+        rng = np.random.default_rng(10 * dA + dB)
+        for n in (2, 3):
+            for m in (1, 2, 3):
+                f = rng.standard_normal((n, n, m, m))
+                f[f < -0.5] = 0.0
+                P = random_pvm_family(dA, m, n, rng=rng).projectors
+                Q = random_pvm_family(dB, m, n, rng=rng).projectors
+                psi = linalg.haar_state_vector(rng, dA * dB)
+                rho = np.outer(psi, np.conj(psi))
+                assert (_alice_scores(f, Q, rho, dA, dB).tobytes()
+                        == alice_scores_by_kron(f, Q, rho, dA, dB).tobytes())
+                assert (_bob_scores(f, P, rho, dA, dB).tobytes()
+                        == bob_scores_by_kron(f, P, rho, dA, dB).tobytes())
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_two_outcome_update_equals_eigenspace_split(self, d):
+        rng = np.random.default_rng(d)
+        for m in (1, 2, 3):
+            G = rng.standard_normal((m, 2, d, d)) + 1j * rng.standard_normal((m, 2, d, d))
+            scores = (G + np.conj(G).swapaxes(-1, -2)) / 2
+            P = random_pvm_family(d, m, 2, rng=rng).projectors
+            out = _update_party(scores, P, d, 2)
+            for x in range(m):
+                pos, rest = _positive_eigenspace_split(scores[x, 0] - scores[x, 1], np.eye(d))
+                assert out[x, 0].tobytes() == pos.tobytes()
+                assert out[x, 1].tobytes() == rest.tobytes()
+
+    def test_stop_reasons(self):
+        f = i3322()
+        one = optimize_bell(f, SeesawConfig(n=2, m=3, restarts=3, max_iters=1, seed=2))
+        assert one.restarts == tuple((v, 1, "max_iters") for v, _, _ in one.restarts)
+        res = optimize_bell(f, SeesawConfig(n=2, m=3, restarts=3, seed=2))
+        assert res.restarts[res.restart_index][:2] == (res.value, len(res.trace))
+        assert all(stop == "converged" and sweeps < 500 for _, sweeps, stop in res.restarts)
 
 
 class TestUpdateOptimality:
@@ -237,9 +284,6 @@ class TestLiftAndVerify:
         cfg = SeesawConfig(dA=2, dB=2, n=2, m=2, restarts=1, seed=37)
         f = chsh_functional()
         res = optimize_bell(f, cfg)
-        doctored = SeesawResult(value=res.value + 0.1, alice=res.alice, bob=res.bob,
-                                state=res.state, trace=res.trace, lifted=res.lifted,
-                                exact_updates=res.exact_updates,
-                                restart_index=res.restart_index, config=res.config)
+        doctored = dataclasses.replace(res, value=res.value + 0.1)
         with pytest.raises(PipelineInconsistencyError):
             lift_and_verify(doctored, f)
