@@ -29,6 +29,7 @@ from .serialize import SchemaError
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
+MAX_JSON_INDENT = 64  # every nesting level writes a newline plus level * indent spaces
 
 
 def _max_n() -> int:
@@ -279,13 +280,31 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _int_within(low: float, high: float, what: str):
+    """An argparse type: an integer from ``low`` to ``high``, else exit 2 saying ``what``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = math.nan  # rejected below with the same message
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
+_seed = _int_within(0, math.inf, "a non-negative integer")  # Philox takes no negative seed
+_json_indent = _int_within(-math.inf, MAX_JSON_INDENT,
+                           f"an integer of at most {MAX_JSON_INDENT}")  # negative: compact
+
+
 def _add_common(p: argparse.ArgumentParser, output: bool = True) -> None:
     if output:
         p.add_argument("-o", "--output", help="output JSON path (default: stdout)")
     p.add_argument("--tol", type=_finite_float, default=None,
                    help="override the command's pass/fail tolerance (a finite number)")
-    p.add_argument("--json-indent", type=int, default=2,
-                   help="JSON indent for outputs; negative for compact")
+    p.add_argument("--json-indent", type=_json_indent, default=2,
+                   help=f"JSON indent for outputs, at most {MAX_JSON_INDENT}; negative for compact")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dA", type=int, default=2)
     p.add_argument("--dB", type=int, default=2)
     p.add_argument("--state", choices=("vector", "density"), default="vector")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_gen)
 
@@ -341,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--rel-tol", type=_finite_float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_seesaw)
 
@@ -354,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("swap-demo", help="constant-channel identity from swap couplings")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_swap_demo)
 

@@ -3,7 +3,9 @@
 Matrices travel as ``{"dim": d, "re": [...], "im": [...]}`` with row-major
 entry lists; vectors reuse the same container with ``dim`` equal to their
 length.  Doubles round-trip exactly through the shortest-repr decimal
-serialization the ``json`` module uses.
+serialization the ``json`` module uses.  With an indent, ``dumps`` writes a
+list of plain floats as its ``repr`` with the separators re-indented: ``json``
+also writes each float with ``float.__repr__``, so the bytes are the same.
 """
 
 from __future__ import annotations
@@ -179,8 +181,29 @@ def table_from_json(doc: dict[str, Any]) -> np.ndarray:
 
 
 def dumps(doc: Any, indent: int | None = 2) -> str:
-    """Deterministic JSON text (insertion order preserved, repr round-trip floats)."""
-    return json.dumps(doc, indent=indent, allow_nan=False)
+    """``json.dumps(doc, indent=indent, allow_nan=False)``, byte for byte.
+
+    With an indent ``json`` encodes in pure Python, so non-empty lists, tuples
+    and str-keyed dicts are written here; the rest is ``json``'s, re-indented.
+    """
+    if indent is None:
+        return json.dumps(doc, allow_nan=False)
+    step = " " * indent
+
+    def write(o: Any, pad: str) -> str:  # pad: newline plus this level's indentation
+        inner = pad + step
+        if type(o) is list and o and set(map(type, o)) == {float}:
+            text = repr(o)  # float.__repr__ per entry, as json writes them
+            if "n" not in text:  # else nan or inf: json raises below
+                return "[" + inner + text[1:-1].replace(", ", "," + inner) + pad + "]"
+        elif isinstance(o, (list, tuple)) and o:
+            return "[" + inner + ("," + inner).join(write(v, inner) for v in o) + pad + "]"
+        elif isinstance(o, dict) and o and all(isinstance(k, str) for k in o):
+            return "{" + inner + ("," + inner).join(
+                json.dumps(k) + ": " + write(v, inner) for k, v in o.items()) + pad + "}"
+        return json.dumps(o, indent=indent, allow_nan=False).replace("\n", pad)
+
+    return write(doc, "\n")
 
 
 def dumps_document(payload_text: str, manifest: dict[str, Any], indent: int | None = 2) -> str:

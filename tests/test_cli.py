@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from uichan import linalg, serialize
-from uichan.cli import main
+from uichan.cli import MAX_JSON_INDENT, main
 from uichan.models import TensorModel, random_tensor_model
 
 CHSH_OPTIMUM = (2 + np.sqrt(2)) / 4
@@ -78,17 +78,24 @@ class TestGenAndVerify:
         assert payload["skipped"] == ["dual_formula", "choi_psd", "trace_preserving",
                                       "embedding_invariance"]
 
-    @pytest.mark.parametrize("indent", [2, -1])
+    @pytest.mark.parametrize("indent", [2, -1, 0, 1, 4])
     def test_output_is_the_dumped_document(self, model_path, tmp_path, indent):
-        out = tmp_path / "report.json"
-        assert main(["verify", "-i", str(model_path), "--json-indent", str(indent),
-                     "-o", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        indent = indent if indent >= 0 else None
-        assert out.read_text() == serialize.dumps(
-            {"payload": doc["payload"], "manifest": doc["manifest"]}, indent) + "\n"
-        assert doc["manifest"]["payload_sha256"] == serialize.sha256_text(
-            serialize.dumps(doc["payload"], indent))
+        # against json.dumps itself: the file and the digested payload text
+        model3 = tmp_path / "model3.json"
+        assert main(["gen", "--n", "3", "--seed", "2", "-o", str(model3)]) == 0
+        for argv in (["verify", "-i", str(model_path)], ["channel", "-i", str(model3)],
+                     ["seesaw", "--preset", "chsh"]):
+            out = tmp_path / "out.json"
+            assert main(argv + ["--json-indent", str(indent), "-o", str(out)]) == 0
+            text = out.read_text()
+            doc = json.loads(text)
+            json_indent = indent if indent >= 0 else None
+            expected = json.dumps({"payload": doc["payload"], "manifest": doc["manifest"]},
+                                  indent=json_indent) + "\n"
+            # digests, not texts: pytest's diff of two unequal MB-long strings takes minutes
+            assert serialize.sha256_text(text) == serialize.sha256_text(expected), argv
+            assert doc["manifest"]["payload_sha256"] == serialize.sha256_text(
+                json.dumps(doc["payload"], indent=json_indent))
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "abc"])
     def test_non_finite_tol_exit_2(self, model_path, tmp_path, capsys, tol):
@@ -115,6 +122,20 @@ class TestGenAndVerify:
                 code = exc.code
             assert code == 2, argv
             assert "Traceback" not in capsys.readouterr().err
+            assert not out.exists()
+        # Philox takes no negative seed; 10**20 spaces overflow, and a large indent pads every line
+        for argv, message in (
+                (["gen", "--seed", "-1"], "--seed: must be a non-negative integer"),
+                (["seesaw", "--preset", "chsh", "--seed", "-1"], "--seed: must be a non-negative"),
+                (["swap-demo", "--seed", "-1"], "--seed: must be a non-negative integer"),
+                (["gen", "--json-indent", str(10**20)], f"--json-indent: must be an integer of "
+                                                        f"at most {MAX_JSON_INDENT}"),
+                (["gen", "--json-indent", str(MAX_JSON_INDENT + 1)], "--json-indent: must be")):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["-o", str(out)])
+            assert exc.value.code == 2, argv
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err, argv
             assert not out.exists()
 
     def test_unitarity_verdict_matches_model_check(self, tmp_path):
@@ -259,7 +280,7 @@ class TestPipelineAndSeesaw:
         payload, restarts = doc["payload"], doc["manifest"]["restarts"]
         assert "restarts" not in payload
         assert doc["manifest"]["payload_sha256"] == serialize.sha256_text(
-            serialize.dumps(payload, 2))
+            json.dumps(payload, indent=2))
         assert len(restarts) == 20
         assert all(r["stop"] in ("converged", "decreased", "max_iters") for r in restarts)
         best = restarts[payload["restart_index"]]

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uichan import linalg, serialize
 from uichan.bell import Behaviour, chsh_optimal_strategy
@@ -187,3 +189,32 @@ class TestDumps:
     def test_digests(self):
         text = serialize.dumps({"a": 1})
         assert len(serialize.sha256_text(text)) == 64
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 1e300, -1e300, 1e-300, -1e-300]
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS))
+STRINGS = st.one_of(st.text(max_size=8), st.sampled_from(["a\nb", 'say "hi"', "ünïcødé ✓"]))
+SCALARS = st.one_of(FLOATS, st.integers(), st.booleans(), st.none(), STRINGS)
+KEYS = st.one_of(STRINGS, st.integers(), FLOATS, st.booleans(), st.none())
+DOCUMENTS = st.recursive(
+    st.one_of(SCALARS, st.lists(FLOATS, max_size=6), st.lists(FLOATS.map(np.float64), max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(STRINGS, inner, max_size=4),
+                            st.dictionaries(KEYS, inner, max_size=4)),
+    max_leaves=16)
+
+
+class TestDumpsEqualsJson:
+    """``dumps`` against ``json.dumps`` itself, not against an earlier ``dumps``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=DOCUMENTS, indent=st.sampled_from([None, 0, 1, 2, 4]))
+    def test_byte_identical(self, doc, indent):
+        assert serialize.dumps(doc, indent) == json.dumps(doc, indent=indent, allow_nan=False)
+
+    @pytest.mark.parametrize("indent", [None, 0, 1, 2, 4])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_raises(self, indent, bad):
+        for doc in (bad, [bad], [0.5, bad, -1.0], {"p": [[0.25, bad]]}, (bad, 1.0)):
+            with pytest.raises(ValueError):
+                serialize.dumps(doc, indent)
