@@ -3,7 +3,8 @@
 Every output file wraps its payload as ``{"payload": ..., "manifest": ...}``;
 the manifest echoes the command, configuration, seed, toolkit version,
 input digests and the payload digest, so reruns with identical inputs are
-checkable byte-for-byte on the payload section.
+checkable byte-for-byte on the payload section.  ``manifest.env`` names the
+Python, numpy and BLAS build the run used.
 
 Exit codes: 0 success, 1 numerical check failure, 2 input error.
 The dense-storage guard n <= 4 can be overridden with the environment
@@ -16,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import platform
 import sys
 import time
 
@@ -48,6 +50,17 @@ def _read_json(path: str) -> dict:
     return doc
 
 
+def _env() -> dict:
+    """Python, numpy and BLAS of this run: seeded bit-identity holds for one BLAS build."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its configuration
+        blas = None
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
 def _emit(args, payload: dict, inputs: dict[str, str], t0: float, **extra) -> None:
     """Write payload and manifest; ``extra`` entries go into the manifest, never the payload."""
     indent = args.json_indent if args.json_indent >= 0 else None
@@ -62,6 +75,7 @@ def _emit(args, payload: dict, inputs: dict[str, str], t0: float, **extra) -> No
                    for name, path in inputs.items()},
         "payload_sha256": serialize.sha256_text(payload_text),
         "wall_ms": round((time.perf_counter() - t0) * 1000.0, 3),
+        "env": _env(),
         **extra,
     }
     text = serialize.dumps_document(payload_text, manifest, indent)

@@ -115,20 +115,28 @@ def unitarity_defect(M: np.ndarray) -> float:
 
 
 def herm_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or of a (..., d, d) stack of them.
 
-    The input is symmetrized as (H + H^dag)/2 first; inputs that are not
-    Hermitian within tolerance are rejected.  Returns eigenvalues in
-    ascending order and a unitary eigenvector matrix Q with H = Q diag(w) Q^dag.
+    Each matrix is symmetrized as (H + H^dag)/2 first; a matrix that is not
+    finite and Hermitian within tolerance is rejected by its index.  Returns
+    eigenvalues in ascending order and unitary eigenvector matrices Q with
+    H = Q diag(w) Q^dag, the same bytes as one call per matrix.
     """
-    A = as_matrix(H)
-    d = A.shape[0]
-    if hermiticity_defect(A) > tol(d) * max(1.0, float(np.linalg.norm(A))):
-        raise DomainError(
-            f"matrix is not hermitian within tolerance (defect {hermiticity_defect(A):.3e})"
-        )
-    w, Q = np.linalg.eigh((A + dag(A)) / 2)
-    return w, Q
+    A = np.asarray(H, dtype=complex)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise DimensionMismatchError(f"matrix must be square, got shape {A.shape}")
+    Ah = np.conj(A).swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite or near-limit entries
+        defect = np.linalg.norm(A - Ah, axis=(-2, -1))
+        bound = tol(A.shape[-1]) * np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)))
+    # an inf entry makes the bound inf, and a NaN defect compares false
+    bad = ~np.isfinite(A).all(axis=(-2, -1)) | ~(defect <= bound)
+    if bad.any():
+        i = tuple(int(k) for k in np.argwhere(bad)[0])
+        where = f" {list(i)}" if i else ""
+        raise DomainError(f"matrix{where} is not finite and hermitian within tolerance "
+                          f"(defect {defect[i]:.3e})")
+    return np.linalg.eigh((A + Ah) / 2)
 
 
 def haar_unitary_from(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -9,7 +9,9 @@ from uichan import linalg
 from uichan.bell import fourier_coeffs
 from uichan.channels import ChannelFamily
 from uichan.errors import DimensionMismatchError
-from uichan.models import PVMFamily, _fourier_unitaries
+from uichan.models import PVMFamily, _fourier_unitaries, random_pvm_family
+from uichan.seesaw import (SeesawConfig, _alice_scores, _bell_operator, _bob_scores,
+                           _update_party)
 
 
 def permute_registers(M: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
@@ -91,3 +93,45 @@ def lastcond_contraction(channel: ChannelFamily, a: int, b: int, x: int, y: int)
     diag = np.einsum("ii->i", S).reshape(n, n, n, n)
     return complex(np.einsum("j,k,r,s,ksjr->", c[a - 1], np.conj(c[a - 1]),
                              c[b - 1], np.conj(c[b - 1]), diag))
+
+
+def seesaw_once(f: np.ndarray, cfg: SeesawConfig, rng: np.random.Generator):
+    """One see-saw restart run alone: (value, P, Q, psi, trace, stop).
+
+    The per-restart reference for optimize_bell's lockstep loop.  stop is
+    "decreased" when the last sweep lowered the value by more than the
+    tolerance, "max_iters" when the sweep limit ended the restart, and
+    "converged" otherwise.
+    """
+    n, m, dA, dB = cfg.n, cfg.m, cfg.dA, cfg.dB
+    P = random_pvm_family(dA, m, n, rng=rng).projectors
+    Q = random_pvm_family(dB, m, n, rng=rng).projectors
+    psi = linalg.haar_state_vector(rng, dA * dB)
+    trace: list[float] = []
+    prev = -np.inf
+    stop = "max_iters"
+    B = _bell_operator(f, P, Q)
+    for _ in range(cfg.max_iters):
+        # state step: top eigenvector of the Bell operator
+        _, vecs = linalg.herm_eig(B)
+        psi = vecs[:, -1]
+        rho = np.outer(psi, np.conj(psi))
+        P = _update_party(_alice_scores(f, Q, rho, dA, dB), P, dA, n)
+        Q = _update_party(_bob_scores(f, P, rho, dA, dB), Q, dB, n)
+
+        B = _bell_operator(f, P, Q)  # also the next sweep's state step
+        val = float(np.real(np.conj(psi) @ B @ psi))
+        trace.append(val)
+        step = cfg.rel_tol * max(1.0, abs(val))
+        if val - prev < step:
+            stop = "decreased" if val < prev - step else "converged"
+            break
+        prev = val
+    return trace[-1], P, Q, psi, trace, stop
+
+
+def seesaw_by_restart(f: np.ndarray, cfg: SeesawConfig) -> list[tuple]:
+    """seesaw_once for each restart of cfg, drawn as optimize_bell draws it."""
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    return [seesaw_once(np.asarray(f, dtype=float), cfg,
+                        np.random.Generator(np.random.Philox(child))) for child in children]

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -285,6 +286,27 @@ class TestPipelineAndSeesaw:
         assert all(r["stop"] in ("converged", "decreased", "max_iters") for r in restarts)
         best = restarts[payload["restart_index"]]
         assert best["value"] == payload["value"] and best["sweeps"] == len(payload["trace"])
+
+    def test_manifest_env_leaves_payload_digest_alone(self, tmp_path, monkeypatch):
+        docs = []
+        for threads in (None, "1"):
+            if threads is None:
+                monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            out = tmp_path / f"seesaw{threads}.json"
+            assert main(["seesaw", "--preset", "chsh", "--restarts", "2", "-o", str(out)]) == 0
+            with open(out) as fh:
+                docs.append(json.load(fh))
+        envs = [doc["manifest"]["env"] for doc in docs]
+        assert [env["openblas_num_threads"] for env in envs] == [None, "1"]
+        for env in envs:
+            assert env["python"] == platform.python_version()
+            assert env["numpy"] == np.__version__
+            assert env["blas"] is None or set(env["blas"]) == {"name", "version"}
+        assert docs[0]["payload"] == docs[1]["payload"]
+        assert (docs[0]["manifest"]["payload_sha256"] == docs[1]["manifest"]["payload_sha256"]
+                == serialize.sha256_text(json.dumps(docs[0]["payload"], indent=2)))
 
 
 def test_python_m_uichan_help():

@@ -177,6 +177,46 @@ class TestHermEig:
         with pytest.raises(DomainError):
             linalg.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @staticmethod
+    def hermitian_stack(shape, d, seed):
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal(shape + (d, d)) + 1j * rng.standard_normal(shape + (d, d))
+        return (G + np.conj(G).swapaxes(-1, -2)) / 2
+
+    @pytest.mark.parametrize("shape, d", [((1,), 3), ((5,), 4), ((2, 3), 5), ((4,), 16)])
+    def test_stack_equals_per_matrix_calls_bit_for_bit(self, shape, d):
+        H = self.hermitian_stack(shape, d, d)
+        w, Q = linalg.herm_eig(H)
+        assert w.shape == shape + (d,) and Q.shape == shape + (d, d)
+        for i in np.ndindex(shape):
+            wi, Qi = linalg.herm_eig(H[i])
+            assert w[i].tobytes() == wi.tobytes() and Q[i].tobytes() == Qi.tobytes()
+
+    def test_stack_names_the_non_hermitian_member(self):
+        H = self.hermitian_stack((2, 3), 3, 7)
+        H[1, 2, 0, 1] += 0.5
+        with pytest.raises(DomainError, match=r"matrix \[1, 2\] is not finite and hermitian"):
+            linalg.herm_eig(H)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_member_raises(self, bad):
+        # a NaN defect must not pass as within tolerance; nor an inf that makes the bound inf
+        H = self.hermitian_stack((4,), 3, 8)
+        H[2, 0, 1] = bad
+        with pytest.raises(DomainError, match=r"matrix \[2\]"):
+            linalg.herm_eig(H)
+        with pytest.raises(DomainError, match="matrix is not finite"):
+            linalg.herm_eig(H[2])
+
+    def test_two_dimensional_input_as_before(self):
+        H = self.hermitian_stack((), 4, 9)
+        w, Q = linalg.herm_eig(H)
+        w_ref, Q_ref = np.linalg.eigh((H + linalg.dag(H)) / 2)
+        assert w.tobytes() == w_ref.tobytes() and Q.tobytes() == Q_ref.tobytes()
+        for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((2, 3, 4))):
+            with pytest.raises(DimensionMismatchError):
+                linalg.herm_eig(bad)
+
 
 def haar_unitary(d, seed):
     return linalg.haar_unitary_from(linalg.rng_from_seed(seed), d)

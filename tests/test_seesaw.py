@@ -12,7 +12,7 @@ from uichan.seesaw import (SeesawConfig, _alice_scores, _bell_operator, _bob_sco
                            _positive_eigenspace_split, _update_party, lift_and_verify,
                            optimize_bell)
 
-from oracles import alice_scores_by_kron, bob_scores_by_kron, local_bound
+from oracles import alice_scores_by_kron, bob_scores_by_kron, local_bound, seesaw_by_restart
 
 CHSH_OPTIMUM = (2 + np.sqrt(2)) / 4
 
@@ -213,6 +213,46 @@ class TestStackedSweep:
         res = optimize_bell(f, SeesawConfig(n=2, m=3, restarts=3, seed=2))
         assert res.restarts[res.restart_index][:2] == (res.value, len(res.trace))
         assert all(stop == "converged" and sweeps < 500 for _, sweeps, stop in res.restarts)
+
+
+class TestLockstep:
+    """optimize_bell's lockstep restarts repeat each restart run alone, bit for bit."""
+
+    @staticmethod
+    def assert_matches_restarts_alone(f, cfg):
+        res = optimize_bell(f, cfg)
+        alone = seesaw_by_restart(f, cfg)
+        assert res.restarts == tuple((v, len(trace), stop) for v, _, _, _, trace, stop in alone)
+        val, P, Q, psi, trace, _ = alone[res.restart_index]
+        assert res.value == val and len(res.trace) == len(trace)
+        assert np.array(trace).tobytes() == np.array(res.trace).tobytes()
+        assert res.alice.projectors.tobytes() == P.tobytes()
+        assert res.bob.projectors.tobytes() == Q.tobytes()
+        assert np.asarray(res.state).tobytes() == psi.tobytes()
+        values = [v for v, *_ in alone]
+        assert res.restart_index == values.index(max(values))
+
+    @pytest.mark.parametrize("dA, dB", [(1, 3), (2, 3), (3, 2), (4, 4), (5, 4)])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_random_functionals(self, n, dA, dB):
+        rng = np.random.default_rng(100 * n + 10 * dA + dB)
+        for m in (1, 2, 3):
+            f = rng.standard_normal((n, n, m, m))
+            f[f < -0.8] = 0.0
+            self.assert_matches_restarts_alone(
+                f, SeesawConfig(dA=dA, dB=dB, n=n, m=m, restarts=4, seed=m, max_iters=60))
+
+    @pytest.mark.parametrize("restarts, max_iters", [(1, 500), (5, 1), (6, 3)])
+    def test_restart_and_sweep_limits(self, restarts, max_iters):
+        for seed in range(3):
+            self.assert_matches_restarts_alone(i3322(), SeesawConfig(
+                dA=3, dB=2, n=2, m=3, restarts=restarts, max_iters=max_iters, seed=seed))
+
+    def test_i3322_benchmark_shape(self):
+        # the seesaw-i3322 workload: dA = dB = 4, 20 restarts that stop at different sweeps
+        cfg = SeesawConfig(dA=4, dB=4, n=2, m=3, seed=5)
+        self.assert_matches_restarts_alone(i3322(), cfg)
+        assert len({sweeps for _, sweeps, _ in optimize_bell(i3322(), cfg).restarts}) > 1
 
 
 class TestUpdateOptimality:
