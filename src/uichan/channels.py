@@ -6,12 +6,18 @@ ancilla pair A'B'.  This module computes that family
 * directly, by conjugating the aligned input with the coupling unitaries
   and tracing out the mediating system:
   ``L(rho) = Tr_env[ W^dag align(rho x sigma) W ]`` with
-  ``W = (U^x x I)(I x V^y)``; and
+  ``W = (U^x x I)(I x V^y)``.  A density state sigma is sandwiched between
+  conj(W) and W, with W built without a Kronecker product.  A vector state
+  psi never forms W or sigma = psi psi^dag: conj(psi) is contracted into
+  U^x, V^y is applied after, and the sandwich is sum_env conj(X) X; and
 * from the moment table of the operator entries,
   ``T[i,j,l,k,p,r,t,s] = phi(u^x_ij (u^x_lk)* x v^y_pr (v^y_ts)*)``,
-  via ``L(rho)[(k,s),(j,r)] = sum_{i,l,p,t} T[i,j,l,k,p,r,t,s] rho[(l,t),(i,p)]``.
+  via ``L(rho)[(k,s),(j,r)] = sum_{i,l,p,t} T[i,j,l,k,p,r,t,s] rho[(l,t),(i,p)]``,
+  contracting each party's Gram products of operator entries with sigma.
 
-Agreement of the two routes is the toolkit's central cross-check.
+Agreement of the two routes is the toolkit's central cross-check, so they
+share no intermediate: the direct route uses only W or the psi-contracted
+U and V, and the moment route only Gram products contracted with sigma.
 
 Vectorization is row-major and frozen: a matrix entry at row (k, s) and
 column (j, r) of the composite ancilla space sits at flat vector index
@@ -127,13 +133,6 @@ class MomentTable:
         }
 
 
-def _dims_and_tensor(model: TensorModel | CommutingModel):
-    """Full-space register dimensions and the (possibly densified) mediating state."""
-    if isinstance(model, TensorModel):
-        return (model.n, model.dA, model.dB, model.n), model.density()
-    return (model.n, model.d, model.n), model.density()
-
-
 def _check_model(model: TensorModel | CommutingModel) -> None:
     model.check()
     if isinstance(model, CommutingModel):
@@ -146,14 +145,47 @@ def _check_model(model: TensorModel | CommutingModel) -> None:
             )
 
 
-def coupling_unitary(model: TensorModel | CommutingModel, x: int, y: int) -> np.ndarray:
-    """W = (U^x x I)(I x V^y) on the full register order of the model."""
+def _coupling_unitary(model: TensorModel | CommutingModel, x: int, y: int) -> np.ndarray:
+    """W = (U^x x I)(I x V^y) as a tensor with the model's register axes, rows then columns.
+
+    No Kronecker product is formed.  For tensor models W is the entrywise
+    product U[a, c] V[b, e].  For commuting models U^x and V^y meet only on
+    the shared system's leg: one (n d n, d) x (d, n d n) matrix product.
+    """
+    n = model.n
     if isinstance(model, TensorModel):
-        return linalg.kron(model.U[x], model.V[y])
-    n, d = model.n, model.d
-    # swap the stored (B', H) legs to the physical (H, B') order
-    v_phys = model.V[y].reshape(n, d, n, d).transpose(1, 0, 3, 2).reshape(n * d, n * d)
-    return linalg.kron(model.U[x], np.eye(n)) @ linalg.kron(np.eye(n), v_phys)
+        U, V = model.U[x], model.V[y]
+        dims = (n, model.dA, model.dB, n)
+        return (U[:, None, :, None] * V[None, :, None, :]).reshape(dims + dims)
+    d = model.d
+    # rows (A', H, A' column) of U^x against its H column; V^y on its physical (H, B') legs
+    U_rows = model.U[x].reshape(n * d * n, d)
+    v_phys = model.V[y].reshape(n, d, n, d).transpose(1, 0, 3, 2).reshape(d, n * d * n)
+    return (U_rows @ v_phys).reshape(n, d, n, n, d, n).transpose(0, 1, 3, 2, 4, 5)
+
+
+def _psi_contracted(model: TensorModel | CommutingModel, x: int, y: int) -> np.ndarray:
+    """X = sum_E conj(psi_E) W[..., E, ...] for a vector state, as an (n^4, env) matrix.
+
+    conj(psi) is contracted into U^x first and V^y applied after, so neither
+    W nor psi psi^dag is formed.  Rows are W's ancilla legs (A' row, B' row,
+    A' column, B' column); columns are its mediating-system column legs,
+    which the partial trace sums over.
+    """
+    n, psi_bar = model.n, np.conj(model.state)
+    if isinstance(model, TensorModel):
+        dA, dB = model.dA, model.dB
+        U4 = model.U[x].reshape(n, dA, n, dA)
+        V4 = model.V[y].reshape(dB, n, dB, n)
+        Y = np.einsum("AB,GAOp->GOpB", psi_bar.reshape(dA, dB), U4, optimize=True)
+        X = np.einsum("GOpB,BDqR->GDORpq", Y, V4, optimize=True)
+    else:
+        d = model.d
+        U4 = model.U[x].reshape(n, d, n, d)
+        v_phys4 = model.V[y].reshape(n, d, n, d).transpose(1, 0, 3, 2)
+        Y = np.einsum("E,GEOh->GOh", psi_bar, U4, optimize=True)
+        X = np.einsum("GOh,hDpR->GDORp", Y, v_phys4, optimize=True)
+    return X.reshape(n ** 4, -1)
 
 
 def channel_direct(model: TensorModel | CommutingModel, max_n: int = DEFAULT_MAX_N) -> ChannelFamily:
@@ -162,35 +194,51 @@ def channel_direct(model: TensorModel | CommutingModel, max_n: int = DEFAULT_MAX
     Schroedinger form L(rho) = Tr_env[W^dag align(rho x sigma) W]; each
     superoperator column is the response to one matrix-unit input (the
     per-unit sandwiches are evaluated in a single tensor contraction).
+
+    A vector state psi goes through ``_psi_contracted``: with
+    X = conj(psi)-contracted W, the sandwich is sum_env conj(X) X, one
+    matrix product per setting pair.  A density state keeps the full
+    sandwich of sigma between conj(W) and W.  This route never forms a Gram
+    product of operator entries; ``moment_table`` never forms W.
     """
     _check_model(model)
     n, m = model.n, model.m
     _guard_n(n, max_n)
-    dims, sigma = _dims_and_tensor(model)
     n4 = n ** 4
     supers = np.empty((m, m, n4, n4), dtype=complex)
-    for x in range(m):
-        for y in range(m):
-            W = coupling_unitary(model, x, y)
-            if isinstance(model, TensorModel):
-                W8 = W.reshape(dims + dims)
-                sig4 = sigma.reshape(model.dA, model.dB, model.dA, model.dB)
-                S = np.einsum("gabdopqr,abAB,GABDOpqR->orORgdGD",
-                              np.conj(W8), sig4, W8, optimize=True)
-            else:
-                W6 = W.reshape(dims + dims)
-                S = np.einsum("gedopr,eE,GEDOpR->orORgdGD",
-                              np.conj(W6), sigma, W6, optimize=True)
-            supers[x, y] = S.reshape(n4, n4)
+    if model.state_is_vector:
+        for x, y in np.ndindex(m, m):
+            X = _psi_contracted(model, x, y)
+            S = (np.conj(X) @ X.T).reshape((n,) * 8)  # axes (g, d, o, r, G, D, O, R)
+            supers[x, y] = S.transpose(2, 3, 6, 7, 0, 1, 4, 5).reshape(n4, n4)
+        return ChannelFamily(n=n, m=m, supers=supers)
+    sigma = model.density()
+    for x, y in np.ndindex(m, m):
+        W = _coupling_unitary(model, x, y)
+        if isinstance(model, TensorModel):
+            sig4 = sigma.reshape(model.dA, model.dB, model.dA, model.dB)
+            S = np.einsum("gabdopqr,abAB,GABDOpqR->orORgdGD",
+                          np.conj(W), sig4, W, optimize=True)
+        else:
+            S = np.einsum("gedopr,eE,GEDOpR->orORgdGD",
+                          np.conj(W), sigma, W, optimize=True)
+        supers[x, y] = S.reshape(n4, n4)
     return ChannelFamily(n=n, m=m, supers=supers)
 
 
 def _gram(blocks: np.ndarray) -> list[np.ndarray]:
-    """Gram product G[i,j,l,k,a,c] = sum_b B[i,j,a,b] conj(B[l,k,c,b]) of each setting's blocks B.
+    """Gram product G[i,j,a,l,k,c] = sum_b B[i,j,a,b] conj(B[l,k,c,b]) of each setting's blocks B.
 
-    ``blocks`` is an (m, n, n, d, d) stack of operator entries; one G per setting.
+    ``blocks`` is an (m, n, n, d, d) stack of operator entries; one G per
+    setting, from one BLAS product F F^dag with F the blocks as an
+    (n^2 d, d) matrix.  Only the moment route uses it.
     """
-    return [np.einsum("ijab,lkcb->ijlkac", b, np.conj(b)) for b in blocks]
+    n, d = blocks.shape[1], blocks.shape[-1]
+    out = []
+    for b in blocks:
+        F = b.reshape(n * n * d, d)
+        out.append((F @ F.conj().T).reshape(n, n, d, n, n, d))
+    return out
 
 
 def moment_table(model: TensorModel | CommutingModel, max_n: int = DEFAULT_MAX_N) -> MomentTable:
@@ -199,26 +247,24 @@ def moment_table(model: TensorModel | CommutingModel, max_n: int = DEFAULT_MAX_N
     For tensor models the two legs form a genuine tensor product across
     H_A / H_B before the state is applied; for commuting models they
     multiply inside the one algebra.  Each party's Gram products are formed
-    once per setting.
+    once per setting (``_gram``), and the state is contracted into Alice's
+    once per setting.  This route never forms W.
     """
     _check_model(model)
     n, m = model.n, model.m
     _guard_n(n, max_n)
-    # each kind keeps its own operand order: einsum's path, and so the bits, follow it
+    # the state goes into Alice's Gram products once per setting, then meets Bob's per pair
+    sigma = model.density()
     if isinstance(model, TensorModel):
-        sig4 = model.density().reshape(model.dA, model.dB, model.dA, model.dB)
-
-        def contract(GA, GB):
-            return np.einsum("ijlkAa,prtsBb,abAB->ijlkprts", GA, GB, sig4, optimize=True)
+        sigma = sigma.reshape(model.dA, model.dB, model.dA, model.dB)
+        with_state, pair = "ijAlka,abAB->ijlkbB", "ijlkbB,prBtsb->ijlkprts"
     else:
-        sigma = model.density()
-
-        def contract(GA, GB):
-            return np.einsum("ef,ijlkfg,prtsge->ijlkprts", sigma, GA, GB, optimize=True)
-    GU, GV = _gram(model.u_blocks()), _gram(model.v_blocks())
+        with_state, pair = "ijflkg,ef->ijlkge", "ijlkge,prgtse->ijlkprts"
+    SU = [np.einsum(with_state, G, sigma, optimize=True) for G in _gram(model.u_blocks())]
+    GV = _gram(model.v_blocks())
     tables = np.empty((m, m) + (n,) * 8, dtype=complex)
     for x, y in np.ndindex(m, m):
-        tables[x, y] = contract(GU[x], GV[y])
+        tables[x, y] = np.einsum(pair, SU[x], GV[y], optimize=True)
     return MomentTable(n=n, m=m, tables=tables)
 
 

@@ -147,6 +147,17 @@ def cmd_verify(args) -> int:
         checks.append({"name": name, "defect": defect if np.isfinite(defect) else None,
                        "tolerance": tolerance, "pass": bool(defect <= tolerance)})
 
+    def compare(name: str, a: channels.ChannelFamily, b: channels.ChannelFamily,
+                tolerance: float) -> None:
+        # a failed comparison names where it failed on stderr; the payload keeps the defect only
+        gap = np.abs(a.supers - b.supers)
+        add(name, np.max(gap), tolerance)
+        if not checks[-1]["pass"]:
+            x, y, row, col = np.unravel_index(np.argmax(gap), gap.shape)
+            print(f"verify: {name} failed: worst |difference| {gap[x, y, row, col]:.3e} at "
+                  f"supers[{x}, {y}][{row}, {col}] (setting pair x={x + 1}, y={y + 1}, "
+                  f"1-based labels)", file=sys.stderr)
+
     defects = model.defects()
     add("unitarity", defects["unitarity"], model.tolerance)
     add("state", defects["state"], model.tolerance)
@@ -160,14 +171,14 @@ def cmd_verify(args) -> int:
         direct = channels.channel_direct(model, max_n=_max_n())
         via_moments = channels.channel_from_moments(channels.moment_table(model, max_n=_max_n()),
                                                     max_n=_max_n())
-        add("dual_formula", np.max(np.abs(direct.supers - via_moments.supers)), 1e-10)
+        compare("dual_formula", direct, via_moments, 1e-10)
         report = channels.cptp_report(direct)
         add("choi_psd", max(0.0, -report.min_choi_eigenvalue), 1e-9)
         add("trace_preserving", report.trace_defect, 1e-10)
         if isinstance(model, models.TensorModel):
             embedded = channels.channel_direct(models.embed_tensor_as_commuting(model),
                                                max_n=_max_n())
-            add("embedding_invariance", np.max(np.abs(direct.supers - embedded.supers)), 1e-12)
+            compare("embedding_invariance", direct, embedded, 1e-12)
     else:
         skipped = ["dual_formula", "choi_psd", "trace_preserving", "embedding_invariance"]
 

@@ -120,8 +120,16 @@ class _Model:
             return np.outer(self.state, np.conj(self.state))
         return np.asarray(self.state)
 
-    def defects(self) -> dict[str, float]:
+    @cached_property
+    def _defects(self) -> dict[str, float]:
         return {"unitarity": _worst_unitarity(self.U, self.V), "state": _state_defect(self.state)}
+
+    def defects(self) -> dict[str, float]:
+        """Worst unitarity defect of the stored U and V, and the state's defect.
+
+        Computed once per model instance; each call returns a fresh dict.
+        """
+        return dict(self._defects)
 
     @property
     def tolerance(self) -> float:
@@ -199,7 +207,7 @@ class CommutingModel(_Model):
     def commutation(self) -> CommutationReport:
         """Entrywise commutation report; see ``validate_commuting``."""
         worst = _worst_commutator(self)
-        uni = _worst_unitarity(self.U, self.V)
+        uni = self._defects["unitarity"]
         t = self.tolerance
         return CommutationReport(
             max_commutator=worst,

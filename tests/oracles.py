@@ -9,7 +9,8 @@ from uichan import linalg
 from uichan.bell import fourier_coeffs
 from uichan.channels import ChannelFamily
 from uichan.errors import DimensionMismatchError
-from uichan.models import PVMFamily, _fourier_unitaries, random_pvm_family
+from uichan.models import (CommutingModel, PVMFamily, TensorModel, _fourier_unitaries,
+                           random_pvm_family)
 from uichan.seesaw import (SeesawConfig, _alice_scores, _bell_operator, _bob_scores,
                            _update_party)
 
@@ -24,6 +25,19 @@ def permute_registers(M: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -
         raise DimensionMismatchError(f"perm {p} is not a bijection on {r} registers")
     axes = list(p) + [r + i for i in p]
     return A.reshape(ds + ds).transpose(axes).reshape(A.shape)
+
+
+def coupling_unitary_by_kron(model: TensorModel | CommutingModel, x: int, y: int) -> np.ndarray:
+    """W = (U^x x I)(I x V^y) as one matrix, built from Kronecker products.
+
+    Tensor models: kron(U^x, V^y).  Commuting models: kron(U^x, I_n) @
+    kron(I_n, v), with v the stored V^y moved to its physical (H, B') legs.
+    """
+    if isinstance(model, TensorModel):
+        return linalg.kron(model.U[x], model.V[y])
+    n, d = model.n, model.d
+    v_phys = model.V[y].reshape(n, d, n, d).transpose(1, 0, 3, 2).reshape(n * d, n * d)
+    return linalg.kron(model.U[x], np.eye(n)) @ linalg.kron(np.eye(n), v_phys)
 
 
 def unitaries_from_pvm(family: PVMFamily) -> np.ndarray:

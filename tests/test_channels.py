@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from uichan import linalg
+from uichan import channels, linalg
 from uichan.channels import (ChannelFamily, MomentTable, channel_direct,
                              channel_from_moments, choi, cptp_report, moment_table,
                              moments_from_channel)
@@ -12,7 +14,10 @@ from uichan.errors import DimensionMismatchError, DomainError, InvalidModelError
 from uichan.models import (CommutingModel, TensorModel, embed_tensor_as_commuting,
                            random_model, random_tensor_model)
 
-from oracles import permute_registers, unitaries_from_pvm
+from oracles import coupling_unitary_by_kron, permute_registers, unitaries_from_pvm
+
+#: the acceptance grid: (n, m, dA, dB)
+GRID = [(n, m, dA, dB) for n in (2, 3) for m in (1, 2) for dA in (2, 3) for dB in (2, 3)]
 
 
 def identity_model(n, dA, dB, seed=0):
@@ -26,6 +31,14 @@ def swap_model(n, seed=0):
     swap = linalg.swap_matrix(n, n)
     rho_target = linalg.wishart_density(rng, n * n)
     return TensorModel(n=n, m=1, dA=n, dB=n, state=rho_target, U=(swap,), V=(swap,)), rho_target
+
+
+def native_commuting_model(n, m, d, seed):
+    """Haar-random U, V on (ancilla, H): W is defined even though the entries do not commute."""
+    rng = linalg.rng_from_seed(seed)
+    return CommutingModel(n=n, m=m, d=d, state=linalg.haar_state_vector(rng, d),
+                          U=tuple(linalg.haar_unitary_from(rng, n * d) for _ in range(m)),
+                          V=tuple(linalg.haar_unitary_from(rng, n * d) for _ in range(m)))
 
 
 def family_max_diff(a: ChannelFamily, b: ChannelFamily) -> float:
@@ -99,6 +112,62 @@ class TestChannelDirect:
         with pytest.raises(DomainError):
             channel_direct(tm)
         channel_direct(tm, max_n=5)  # override works
+
+
+class TestKronFreeForms:
+    # (n, m, dA, dB); commuting models have d = dA dB, up to 64
+    SHAPES = [(1, 1, 1, 1), (1, 2, 2, 3), (2, 2, 2, 2), (2, 1, 2, 3), (2, 2, 1, 4), (2, 1, 4, 4),
+              (2, 1, 8, 8), (4, 1, 2, 2), (4, 2, 1, 3)]
+
+    @staticmethod
+    def models(n, m, dA, dB, seed):
+        tm = random_tensor_model(n, m, dA, dB, state="density", seed=seed)
+        return [tm, embed_tensor_as_commuting(tm), native_commuting_model(n, m, dA * dB, seed)]
+
+    @pytest.mark.parametrize("n, m, dA, dB", SHAPES)
+    def test_coupling_unitary_equals_kron_form_bit_for_bit(self, n, m, dA, dB):
+        for seed in range(5):
+            for model in self.models(n, m, dA, dB, seed):
+                for x, y in np.ndindex(m, m):
+                    ref = coupling_unitary_by_kron(model, x, y)
+                    W = channels._coupling_unitary(model, x, y)
+                    assert np.ascontiguousarray(W).reshape(ref.shape).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n, m, dA, dB", [(3, 2, 3, 2), (3, 1, 4, 4), (3, 1, 1, 1)])
+    def test_coupling_unitary_near_kron_form_at_n3(self, n, m, dA, dB):
+        # at n = 3 the kron form's (3d)^2-wide product rounds some entries in BLAS edge
+        # kernels of its own, so the two forms may part by an ulp there
+        for seed in range(5):
+            for model in self.models(n, m, dA, dB, seed):
+                for x, y in np.ndindex(m, m):
+                    ref = coupling_unitary_by_kron(model, x, y)
+                    W = channels._coupling_unitary(model, x, y).reshape(ref.shape)
+                    assert np.max(np.abs(W - ref)) <= 2 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("kind", ["tensor", "commuting"])
+    def test_vector_route_matches_density_route(self, kind):
+        for i, (n, m, dA, dB) in enumerate(GRID):
+            model = random_model(kind, n, m, dA, dB, state="vector", seed=900 + i)
+            dense = dataclasses.replace(model, state=model.density())
+            assert model.state_is_vector and not dense.state_is_vector
+            assert family_max_diff(channel_direct(model), channel_direct(dense)) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["tensor", "commuting"])
+    @pytest.mark.parametrize("state", ["vector", "density"])
+    def test_routes_share_no_intermediate(self, kind, state, monkeypatch):
+        model = random_model(kind, 2, 2, 2, 3, state=state, seed=910)
+        direct, table = channel_direct(model), moment_table(model)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the other route's helper was called")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(channels, "_gram", forbidden)
+            assert np.array_equal(channel_direct(model).supers, direct.supers)
+        with monkeypatch.context() as mp:
+            mp.setattr(channels, "_coupling_unitary", forbidden)
+            mp.setattr(channels, "_psi_contracted", forbidden)
+            assert np.array_equal(moment_table(model).tables, table.tables)
 
 
 class TestMomentTable:

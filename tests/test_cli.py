@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uichan import linalg, serialize
+from uichan import channels, linalg, serialize
 from uichan.cli import MAX_JSON_INDENT, main
-from uichan.models import TensorModel, random_tensor_model
+from uichan.models import CommutingModel, TensorModel, random_tensor_model
 
 CHSH_OPTIMUM = (2 + np.sqrt(2)) / 4
 
@@ -178,6 +178,54 @@ class TestGenAndVerify:
         assert manifest["inputs"]["model"]["path"] == str(model_path)
         assert len(manifest["inputs"]["model"]["sha256"]) == 64
         assert manifest["version"]
+
+
+def perturbed(family, x, y, row, col, by=1e-3):
+    supers = np.array(family.supers)
+    supers[x, y, row, col] += by
+    return channels.ChannelFamily(n=family.n, m=family.m, supers=supers)
+
+
+class TestVerifyNamesWhereARouteCheckFailed:
+    def run(self, model_path, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        rc = main(["verify", "-i", str(model_path), "-o", str(report)])
+        payload = read_payload(report)
+        # the location goes to stderr only: the payload keeps its keys
+        assert set(payload) == {"checks", "skipped", "pass"}
+        assert all(set(c) == {"name", "defect", "tolerance", "pass"} for c in payload["checks"])
+        return rc, {c["name"]: c for c in payload["checks"]}, capsys.readouterr().err
+
+    def test_passing_run_is_silent(self, model_path, tmp_path, capsys):
+        rc, _, err = self.run(model_path, tmp_path, capsys)
+        assert rc == 0 and err == ""
+
+    def test_dual_formula(self, model_path, tmp_path, capsys, monkeypatch):
+        from_moments = channels.channel_from_moments
+        monkeypatch.setattr(channels, "channel_from_moments",
+                            lambda *a, **k: perturbed(from_moments(*a, **k), 1, 0, 3, 5))
+        rc, checks, err = self.run(model_path, tmp_path, capsys)
+        assert rc == 1
+        assert not checks["dual_formula"]["pass"] and checks["embedding_invariance"]["pass"]
+        assert abs(checks["dual_formula"]["defect"] - 1e-3) <= 1e-12
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("verify: dual_formula failed")
+        assert "supers[1, 0][3, 5]" in lines[0] and "x=2, y=1" in lines[0]
+
+    def test_embedding_invariance(self, model_path, tmp_path, capsys, monkeypatch):
+        direct = channels.channel_direct
+
+        def embedded_off(model, **kwargs):
+            family = direct(model, **kwargs)
+            return perturbed(family, 0, 1, 7, 2) if isinstance(model, CommutingModel) else family
+
+        monkeypatch.setattr(channels, "channel_direct", embedded_off)
+        rc, checks, err = self.run(model_path, tmp_path, capsys)
+        assert rc == 1
+        assert checks["dual_formula"]["pass"] and not checks["embedding_invariance"]["pass"]
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("verify: embedding_invariance failed")
+        assert "supers[0, 1][7, 2]" in lines[0] and "x=1, y=2" in lines[0]
 
 
 class TestChannelCommand:

@@ -220,6 +220,25 @@ class TestValidateCommuting:
         assert validate_commuting(cm) is rep
         assert validate_commuting(random_model("commuting", 2, 2, 2, 2, seed=3)) is not rep
 
+    def test_unitarity_measured_once_per_matrix_in_verify(self, tmp_path, monkeypatch):
+        from uichan.cli import main
+        path, report = tmp_path / "cm.json", tmp_path / "report.json"
+        m = 3
+        assert main(["gen", "--kind", "commuting", "--n", "2", "--m", str(m), "--dA", "2",
+                     "--dB", "3", "--seed", "5", "-o", str(path)]) == 0
+        calls = []
+        defect = linalg.unitarity_defect
+        monkeypatch.setattr(linalg, "unitarity_defect", lambda M: calls.append(1) or defect(M))
+        assert main(["verify", "-i", str(path), "-o", str(report)]) == 0
+        assert len(calls) == 2 * m  # each stored U[x] and V[y], once
+
+    def test_defects_cached_and_returned_fresh(self):
+        cm = random_model("commuting", 2, 2, 2, 3, state="density", seed=4)
+        first = cm.defects()
+        first["unitarity"] = 1.0  # must not reach the cache
+        assert cm.defects() is not first and cm.defects()["unitarity"] < 1e-12
+        assert validate_commuting(cm).max_unitarity_defect == cm.defects()["unitarity"]
+
     def test_identity_model(self):
         cm = CommutingModel(n=2, m=1, d=3, state=np.eye(3) / 3,
                             U=(np.eye(6),), V=(np.eye(6),))
