@@ -2,9 +2,12 @@
 
 Extending one party's operators by the identity on the other party's space
 realizes the tensor-product structure as a pair of commuting subalgebras on
-the joint space.  The entrywise commutation report certifies the embedding,
-and the induced channel family is preserved exactly; unrelated unitaries on
-a shared space fail the same certificate by a wide margin.
+the joint space, and the induced channel family is preserved exactly.  The
+embedded model takes its zero commutator from that construction instead of
+measuring it, so the certificate here is measured the way any reader of the
+model's file measures it: on a fresh CommutingModel built from its arrays.
+Unrelated unitaries on a shared space fail the same certificate by a wide
+margin.
 """
 
 import numpy as np
@@ -16,7 +19,10 @@ tm = random_tensor_model(n=2, m=2, dA=2, dB=2, seed=5)
 cm = embed_tensor_as_commuting(tm)
 print(f"embedded model lives on d = {cm.d} = dA*dB = {tm.dA}*{tm.dB}")
 
-report = validate_commuting(cm)
+# a model built from the arrays alone, as read from a file, measures its commutator
+as_read = CommutingModel(n=cm.n, m=cm.m, d=cm.d, state=cm.state, U=cm.U, V=cm.V)
+report = validate_commuting(as_read)
+assert report.max_commutator == validate_commuting(cm).max_commutator == 0.0
 print(f"entrywise commutation: max commutator {report.max_commutator:.3e}, "
       f"max unitarity defect {report.max_unitarity_defect:.3e} "
       f"-> accepted={report.accepted}")

@@ -164,6 +164,12 @@ def cmd_verify(args) -> int:
     if isinstance(model, models.CommutingModel):
         rep = models.validate_commuting(model)
         add("commutation", rep.max_commutator, rep.tolerance)
+        if not checks[-1]["pass"]:
+            norm, x, y, dagger, i, j, k, l = models._worst_commutator_entry(model)
+            u = "u_ij^dag" if dagger else "u_ij"
+            print(f"verify: commutation failed: worst ||[{u}, v_kl]||_F {norm:.3e} at "
+                  f"(i, j)=({i + 1}, {j + 1}), (k, l)=({k + 1}, {l + 1}) "
+                  f"(setting pair x={x + 1}, y={y + 1}, 1-based labels)", file=sys.stderr)
 
     # channel-level checks only make sense on a numerically valid model
     skipped = []

@@ -204,9 +204,16 @@ class CommutingModel(_Model):
         return self._blocks(self.V[y])
 
     @cached_property
+    def _max_commutator(self) -> float:
+        return _worst_commutator(self)
+
+    @cached_property
     def commutation(self) -> CommutationReport:
-        """Entrywise commutation report; see ``validate_commuting``."""
-        worst = _worst_commutator(self)
+        """Entrywise commutation report; see ``validate_commuting``.
+
+        Everything is measured but the commutator of an embedded tensor model, 0 by construction.
+        """
+        worst = self._max_commutator
         uni = self._defects["unitarity"]
         t = self.tolerance
         return CommutationReport(
@@ -253,23 +260,40 @@ def _entry_products(column: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, np
     return P[:h, :w] - P[h:, w:], P[:h, w:] + P[h:, :w]
 
 
-def _worst_commutator(model: CommutingModel) -> float:
-    """Largest ||[u_ij, v_kl]||_F and ||[u_ij^dag, v_kl]||_F over all settings and entries."""
+def _commutator_norms(model: CommutingModel):
+    """Yield (x, y, dagger, norms) per setting pair and u or u^dag, in a fixed order.
+
+    ``norms[i n + j, k n + l]`` is ||[u_ij, v_kl]||_F^2, or ||[u_ij^dag, v_kl]||_F^2
+    when ``dagger``.
+    """
     n2, d = model.n ** 2, model.d
     swap = (2, 1, 0, 3)
     stacked_v = [_row_and_column(model.v_blocks(y)) for y in range(model.m)]
-    worst = []
     for x in range(model.m):
         ub = model.u_blocks(x)
-        for blocks in (ub, np.conj(np.swapaxes(ub, -1, -2))):
+        for dagger, blocks in enumerate((ub, np.conj(np.swapaxes(ub, -1, -2)))):
             u_row, u_col = _row_and_column(blocks)
-            for v_row, v_col in stacked_v:
+            for y, (v_row, v_col) in enumerate(stacked_v):
                 uv_re, uv_im = _entry_products(u_col, v_row)  # block (ij, kl) = u_ij v_kl
                 vu_re, vu_im = _entry_products(v_col, u_row)  # block (kl, ij) = v_kl u_ij
                 c_re = uv_re.reshape(n2, d, n2, d) - vu_re.reshape(n2, d, n2, d).transpose(swap)
                 c_im = uv_im.reshape(n2, d, n2, d) - vu_im.reshape(n2, d, n2, d).transpose(swap)
-                worst.append(np.max(np.sum(c_re ** 2 + c_im ** 2, axis=(1, 3))))
-    return float(np.sqrt(np.max(worst)))
+                yield x, y, bool(dagger), np.sum(c_re ** 2 + c_im ** 2, axis=(1, 3))
+
+
+def _worst_commutator(model: CommutingModel) -> float:
+    """Largest ||[u_ij, v_kl]||_F and ||[u_ij^dag, v_kl]||_F over all settings and entries."""
+    return float(np.sqrt(np.max([np.max(norms) for *_, norms in _commutator_norms(model)])))
+
+
+def _worst_commutator_entry(model: CommutingModel) -> tuple:
+    """(norm, x, y, dagger, i, j, k, l) of the largest commutator, 0-based; a NaN is largest."""
+    worst = []
+    for x, y, dagger, norms in _commutator_norms(model):
+        ij, kl = (int(a) for a in np.unravel_index(np.argmax(norms), norms.shape))
+        worst.append((norms[ij, kl], x, y, dagger, *divmod(ij, model.n), *divmod(kl, model.n)))
+    norm, *where = worst[int(np.argmax([w[0] for w in worst]))]
+    return (float(np.sqrt(norm)), *where)
 
 
 def validate_commuting(model: CommutingModel) -> CommutationReport:
@@ -284,6 +308,9 @@ def validate_commuting(model: CommutingModel) -> CommutationReport:
     of stacked entry blocks, and every v_kl u_ij out of a second, each
     formed from real products (see ``_entry_products``).  The report is
     computed once per model instance and cached on it (``commutation``).
+    Only the commutator of a model built by ``embed_tensor_as_commuting``
+    is taken from its construction (exactly 0) instead of measured; a
+    model read from a file or built directly is measured in full.
     """
     return model.commutation
 
@@ -294,13 +321,20 @@ def embed_tensor_as_commuting(model: TensorModel) -> CommutingModel:
     U[x] is extended by the identity on H_B and V[y] by the identity on
     H_A, so the operator entries land in commuting subalgebras; the state
     is unchanged and the induced channel family is preserved exactly.
+
+    The entries commute by construction, so the returned model carries a
+    worst commutator of exactly 0 instead of measuring it.  Its unitarity
+    and state defects are still measured, so the embedding of a
+    non-unitary or overflowing model is still rejected.
     """
     n, m, dA, dB = model.n, model.m, model.dA, model.dB
     d = dA * dB
     U = (model.U[:, :, None, :, None] * np.eye(dB)[:, None, :]).reshape(m, n * d, n * d)
     # V[y] on (H_B, B') becomes I_dA x v_kl blocks, ancilla-major on (B', H_A, H_B)
     V = np.einsum("ybkcl,ae->ykablec", model.V.reshape(m, dB, n, dB, n), np.eye(dA))
-    return CommutingModel(n=n, m=m, d=d, state=model.state, U=U, V=V.reshape(m, n * d, n * d))
+    embedded = CommutingModel(n=n, m=m, d=d, state=model.state, U=U, V=V.reshape(U.shape))
+    object.__setattr__(embedded, "_max_commutator", 0.0)
+    return embedded
 
 
 def _fourier_phases(n: int, sign: int) -> np.ndarray:

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uichan import channels, linalg, serialize
+from uichan import channels, linalg, models, serialize
 from uichan.cli import MAX_JSON_INDENT, main
-from uichan.models import CommutingModel, TensorModel, random_tensor_model
+from uichan.models import (CommutingModel, TensorModel, embed_tensor_as_commuting,
+                           random_tensor_model)
 
 CHSH_OPTIMUM = (2 + np.sqrt(2)) / 4
 
@@ -18,6 +19,21 @@ CHSH_OPTIMUM = (2 + np.sqrt(2)) / 4
 def read_payload(path):
     with open(path) as fh:
         return json.load(fh)["payload"]
+
+
+def write_haar_v(doc, path, seed=0):
+    """Write a commuting model document with V[0] replaced by a Haar unitary on (H, B').
+
+    As in the benchmark's Haar probe the model stays unitary, but the entries
+    of that V no longer commute with those of U.
+    """
+    haar = linalg.haar_unitary_from(linalg.rng_from_seed(seed), doc["n"] * doc["d"])
+    path.write_text(json.dumps(dict(doc, V=[serialize.matrix_to_json(haar), *doc["V"][1:]])))
+    return path
+
+
+def failed_checks(report):
+    return [c["name"] for c in read_payload(report)["checks"] if not c["pass"]]
 
 
 @pytest.fixture
@@ -45,6 +61,41 @@ class TestGenAndVerify:
         assert main(["verify", "-i", str(path), "-o", str(report)]) == 0
         names = {c["name"] for c in read_payload(report)["checks"]}
         assert "commutation" in names
+
+    def test_commutator_measured_once_per_verify(self, tmp_path, monkeypatch):
+        # a tensor verify embeds its model, whose commutator is 0 by construction; a model
+        # file is measured once, and only a failed check is located, by a pass of its own
+        paths = {kind: tmp_path / f"{kind}.json" for kind in ("tensor", "commuting")}
+        for kind, path in paths.items():
+            assert main(["gen", "--kind", kind, "--n", "2", "--m", "2", "--dA", "2", "--dB", "3",
+                         "--seed", "5", "-o", str(path)]) == 0
+        paths["haar"] = write_haar_v(read_payload(paths["commuting"]), tmp_path / "haar.json")
+        calls = []
+        for name in ("_worst_commutator", "_worst_commutator_entry"):
+            original = getattr(models, name)
+            monkeypatch.setattr(models, name, lambda model, name=name, original=original:
+                                calls.append(name) or original(model))
+        report = tmp_path / "report.json"
+        for kind, rc, measured, located in (("tensor", 0, 0, 0), ("commuting", 0, 1, 0),
+                                            ("haar", 1, 1, 1)):
+            calls.clear()
+            assert main(["verify", "-i", str(paths[kind]), "-o", str(report)]) == rc
+            assert calls.count("_worst_commutator") == measured, kind
+            assert calls.count("_worst_commutator_entry") == located, kind
+        assert failed_checks(report) == ["commutation"]
+
+    def test_file_cannot_borrow_the_embeddings_zero(self, tmp_path):
+        # the embedding carries its commutator 0 in memory only; its file is measured again
+        doc = serialize.model_to_json(embed_tensor_as_commuting(random_tensor_model(2, 2, 2, 2,
+                                                                                    seed=4)))
+        plain, report = tmp_path / "plain.json", tmp_path / "report.json"
+        plain.write_text(json.dumps(doc))
+        assert main(["verify", "-i", str(plain), "-o", str(report)]) == 0
+        checks = {c["name"]: c for c in read_payload(report)["checks"]}
+        assert checks["commutation"]["defect"] == 0.0
+        haar = write_haar_v(doc, tmp_path / "haar.json")
+        assert main(["verify", "-i", str(haar), "-o", str(report)]) == 1
+        assert failed_checks(report) == ["commutation"]
 
     def test_corrupted_unitary_fails(self, model_path, tmp_path):
         doc = read_payload(model_path)
@@ -226,6 +277,29 @@ class TestVerifyNamesWhereARouteCheckFailed:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("verify: embedding_invariance failed")
         assert "supers[0, 1][7, 2]" in lines[0] and "x=1, y=2" in lines[0]
+
+    def test_commutation(self, tmp_path, capsys):
+        path = tmp_path / "cm.json"
+        assert main(["gen", "--kind", "commuting", "--n", "2", "--m", "2", "--dA", "2",
+                     "--dB", "2", "--seed", "3", "-o", str(path)]) == 0
+        haar = write_haar_v(read_payload(path), tmp_path / "haar.json")
+        rc, checks, err = self.run(haar, tmp_path, capsys)
+        assert rc == 1 and not checks["commutation"]["pass"]
+        # the worst entry pair, one pair at a time with complex products
+        cm = serialize.model_from_json(json.loads(haar.read_text()))
+        worst = max((float(np.linalg.norm(a @ b - b @ a)), x, y, dagger, i, j, k, l)
+                    for x, y, dagger in np.ndindex(cm.m, cm.m, 2)
+                    for i, j, k, l in np.ndindex(cm.n, cm.n, cm.n, cm.n)
+                    for a, b in [((cm.u_blocks(x)[i, j].conj().T if dagger
+                                   else cm.u_blocks(x)[i, j]), cm.v_blocks(y)[k, l])])
+        norm, x, y, dagger, i, j, k, l = worst
+        assert abs(checks["commutation"]["defect"] - norm) <= 1e-12 * norm
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("verify: commutation failed: worst ||[")
+        assert f"{checks['commutation']['defect']:.3e} at" in lines[0]
+        assert ("u_ij^dag" in lines[0]) == bool(dagger)
+        assert f"(i, j)=({i + 1}, {j + 1}), (k, l)=({k + 1}, {l + 1})" in lines[0]
+        assert f"x={x + 1}, y={y + 1}" in lines[0]
 
 
 class TestChannelCommand:

@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_equal
 
 from uichan import linalg
 from uichan.errors import DimensionMismatchError, DomainError, InvalidModelError
@@ -193,6 +195,19 @@ def entrywise_commutator_reference(model):
     return worst
 
 
+def measured_like_embedding(cm):
+    """The embedding's report, checked against a fresh model on its arrays, which is measured.
+
+    The embedding takes its commutator 0 from its construction; the fresh
+    model, like any model read from a file, measures it.
+    """
+    fresh = CommutingModel(n=cm.n, m=cm.m, d=cm.d, state=cm.state, U=cm.U, V=cm.V)
+    rep, measured = validate_commuting(cm), validate_commuting(fresh)
+    assert rep.max_commutator == 0.0 and measured.max_commutator == 0.0
+    assert_equal(dataclasses.astuple(measured), dataclasses.astuple(rep))  # NaN matches NaN
+    return rep
+
+
 class TestValidateCommuting:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("d", [1, 2, 5])
@@ -212,7 +227,7 @@ class TestValidateCommuting:
         for i, (n, m, dA, dB) in enumerate(grid):
             state = "vector" if i % 2 == 0 else "density"
             tm = random_tensor_model(n, m, dA, dB, state=state, seed=700 + i)
-            assert validate_commuting(embed_tensor_as_commuting(tm)).max_commutator == 0.0
+            assert measured_like_embedding(embed_tensor_as_commuting(tm)).max_commutator == 0.0
 
     def test_report_cached_per_instance(self):
         cm = random_model("commuting", 2, 2, 2, 2, seed=3)
@@ -249,9 +264,14 @@ class TestValidateCommuting:
 
     def test_embedded_tensor_commutes(self):
         tm = random_tensor_model(2, 2, 2, 3, seed=4)
-        rep = validate_commuting(embed_tensor_as_commuting(tm))
+        rep = measured_like_embedding(embed_tensor_as_commuting(tm))
         assert rep.max_commutator <= 1e-12
         assert rep.accepted
+        # the stored zero does not excuse overflowing entries: their unitarity defect is NaN
+        tm = TensorModel(n=2, m=1, dA=1, dB=1, state=np.ones(1), U=(np.eye(2),), V=(OVERFLOWING,))
+        with np.errstate(all="ignore"):
+            rep = measured_like_embedding(embed_tensor_as_commuting(tm))
+        assert np.isnan(rep.max_unitarity_defect) and rep.accepted is False
 
     def test_unrelated_unitaries_rejected(self):
         rng = linalg.rng_from_seed(17)
@@ -278,7 +298,7 @@ class TestEmbedding:
         rng = linalg.rng_from_seed(9)
         tm = TensorModel(n=2, m=1, dA=2, dB=2, state=linalg.wishart_density(rng, 4),
                          U=(swap,), V=(swap,))
-        rep = validate_commuting(embed_tensor_as_commuting(tm))
+        rep = measured_like_embedding(embed_tensor_as_commuting(tm))
         assert rep.max_commutator <= 1e-12
 
     def test_embedded_blocks(self):
