@@ -16,7 +16,7 @@ from .channels import (ChannelFamily, CPTPReport, MomentTable, channel_direct,
                        moments_from_channel)
 from .errors import (DimensionMismatchError, DomainError, InconsistentChannelError,
                      InvalidModelError, PipelineInconsistencyError)
-from .linalg import herm_eig, kron, partial_trace, swap_matrix, tol
+from .linalg import herm_eig, swap_matrix, tol
 from .models import (CommutationReport, CommutingModel, PVMFamily, TensorModel,
                      diagonal_fourier_lift, embed_tensor_as_commuting, random_model,
                      random_pvm_family, random_tensor_model, validate_commuting)
@@ -33,7 +33,7 @@ __all__ = [
     "moments_from_channel",
     "DimensionMismatchError", "DomainError", "InconsistentChannelError",
     "InvalidModelError", "PipelineInconsistencyError",
-    "herm_eig", "kron", "partial_trace", "swap_matrix", "tol",
+    "herm_eig", "swap_matrix", "tol",
     "CommutationReport", "CommutingModel", "PVMFamily", "TensorModel",
     "diagonal_fourier_lift", "embed_tensor_as_commuting", "random_model",
     "random_pvm_family", "random_tensor_model", "validate_commuting",

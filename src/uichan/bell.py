@@ -22,7 +22,8 @@ from . import linalg
 from .channels import ChannelFamily, moments_from_channel
 from .errors import (DimensionMismatchError, DomainError, InconsistentChannelError,
                      InvalidModelError)
-from .models import CommutingModel, PVMFamily, TensorModel, _fourier_phases
+from .models import (CommutingModel, PVMFamily, TensorModel, _fourier_phases, _freeze_state,
+                     _require_within, _state_defect)
 
 
 def fourier_coeffs(n: int) -> np.ndarray:
@@ -37,6 +38,10 @@ def fourier_coeffs(n: int) -> np.ndarray:
     c = _fourier_phases(n, -1) / n
     c.setflags(write=False)
     return c
+
+
+NEG_TOL = 1e-9  # Behaviour.check: the most negative probability accepted
+NORM_TOL = 1e-10  # Behaviour.check: the largest per-(x, y) normalization residual accepted
 
 
 @dataclass(frozen=True)
@@ -65,9 +70,9 @@ class Behaviour:
         norm = float(np.max(np.abs(self.p.sum(axis=(0, 1)) - 1.0)))
         return {"negativity": neg, "normalization": norm}
 
-    def check(self, neg_tol: float = 1e-9, norm_tol: float = 1e-10) -> None:
+    def check(self) -> None:
         d = self.defects()
-        if d["negativity"] > neg_tol or d["normalization"] > norm_tol:
+        if d["negativity"] > NEG_TOL or d["normalization"] > NORM_TOL:
             raise InvalidModelError(f"behaviour defects {d} exceed tolerances")
 
 
@@ -80,19 +85,15 @@ def _product_projectors(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def behaviour_direct(alice: PVMFamily, bob: PVMFamily, state: np.ndarray) -> Behaviour:
-    """Born-rule behaviour p(ab|xy) = <P_{a|x} x Q_{b|y}> in the given joint state."""
+    """Born-rule behaviour p(ab|xy) = <P_{a|x} x Q_{b|y}> of checked PVMs in a checked state."""
     if alice.n != bob.n or alice.m != bob.m:
         raise DimensionMismatchError("PVM families must share outcome and setting counts")
+    alice.check()
+    bob.check()
     d = alice.d * bob.d
-    s = np.asarray(state, dtype=complex)
-    if s.ndim == 1:
-        if s.shape[0] != d:
-            raise DimensionMismatchError(f"state vector has length {s.shape[0]}, expected {d}")
-        rho = np.outer(s, np.conj(s))
-    else:
-        rho = linalg.as_matrix(s, "state")
-        if rho.shape[0] != d:
-            raise DimensionMismatchError(f"state has dim {rho.shape[0]}, expected {d}")
+    s = _freeze_state(state, d, "state")
+    _require_within("state", {"state": _state_defect(s)}, linalg.tol(d))
+    rho = np.outer(s, np.conj(s)) if s.ndim == 1 else s
     ops = _product_projectors(alice.projectors, bob.projectors)
     p = np.real(np.trace(rho @ ops, axis1=-2, axis2=-1))  # (x, y, a, b)
     return Behaviour(n=alice.n, m=alice.m, p=p.transpose(2, 3, 0, 1))
@@ -109,13 +110,16 @@ def diagonal_moment_behaviour(channel: ChannelFamily) -> np.ndarray:
     return np.einsum("aj,ak,br,bs,xyjkrs->abxy", c, np.conj(c), c, np.conj(c), tdiag)
 
 
-def behaviour_from_channel(channel: ChannelFamily, imag_tol: float = 1e-6) -> Behaviour:
+IMAG_TOL = 1e-6  # largest imaginary residue behaviour_from_channel accepts
+
+
+def behaviour_from_channel(channel: ChannelFamily) -> Behaviour:
     """Extract a behaviour from a channel family via its diagonal moments.
 
     The raw table is completed on the last outcome of each side using the
     single-leg moments recovered through the unitarity contractions, which
     makes every (x, y) cell sum to one exactly.  Channels whose extracted
-    table carries imaginary residue beyond ``imag_tol`` are rejected.
+    table carries imaginary residue beyond ``IMAG_TOL`` are rejected.
 
     The completion runs cell by cell: the same reductions over all cells at
     once sum in another order and move the table in its last bits.
@@ -136,10 +140,9 @@ def behaviour_from_channel(channel: ChannelFamily, imag_tol: float = 1e-6) -> Be
         p_hat[:, n - 1, x, y] += marg_a - cell.sum(axis=1)
         p_hat[n - 1, n - 1, x, y] += 1.0 - marg_a.sum() - marg_b.sum() + cell.sum()
     residue = float(np.max(np.abs(p_hat.imag)))
-    if residue > imag_tol:
+    if residue > IMAG_TOL:
         raise InconsistentChannelError(
-            f"extracted behaviour has imaginary residue {residue:.3e} > {imag_tol:.1e}"
-        )
+            f"extracted behaviour has imaginary residue {residue:.3e} > {IMAG_TOL:.1e}")
     return Behaviour(n=n, m=m, p=p_hat.real)
 
 

@@ -26,8 +26,8 @@ Each family is one read-only complex array whose two leading axes are the
 setting pair: superoperators ``(m, m, n^4, n^4)`` and moment tables
 ``(m, m, n, n, n, n, n, n, n, n)``.  They hold the same numbers under a
 fixed axis permutation, so ``moments_from_channel`` returns a view.  Both are
-dense, so the ancilla dimension is guarded at n <= 4 by default (override
-via ``max_n``).
+dense, so ``channel_direct`` and ``moment_table`` guard the ancilla dimension
+at n <= 4 by default (override via their ``max_n``).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, DomainError, InvalidModelError
+from .errors import DimensionMismatchError, DomainError
 from .linalg import dag
 from .models import CommutingModel, TensorModel
 
@@ -133,18 +133,6 @@ class MomentTable:
         }
 
 
-def _check_model(model: TensorModel | CommutingModel) -> None:
-    model.check()
-    if isinstance(model, CommutingModel):
-        report = model.commutation
-        if not report.accepted:
-            raise InvalidModelError(
-                f"commuting model rejected: max commutator {report.max_commutator:.3e}, "
-                f"max unitarity defect {report.max_unitarity_defect:.3e} "
-                f"(tolerance {report.tolerance:.3e})"
-            )
-
-
 def _coupling_unitary(model: TensorModel | CommutingModel, x: int, y: int) -> np.ndarray:
     """W = (U^x x I)(I x V^y) as a tensor with the model's register axes, rows then columns.
 
@@ -201,7 +189,7 @@ def channel_direct(model: TensorModel | CommutingModel, max_n: int = DEFAULT_MAX
     sandwich of sigma between conj(W) and W.  This route never forms a Gram
     product of operator entries; ``moment_table`` never forms W.
     """
-    _check_model(model)
+    model.check()
     n, m = model.n, model.m
     _guard_n(n, max_n)
     n4 = n ** 4
@@ -250,7 +238,7 @@ def moment_table(model: TensorModel | CommutingModel, max_n: int = DEFAULT_MAX_N
     once per setting (``_gram``), and the state is contracted into Alice's
     once per setting.  This route never forms W.
     """
-    _check_model(model)
+    model.check()
     n, m = model.n, model.m
     _guard_n(n, max_n)
     # the state goes into Alice's Gram products once per setting, then meets Bob's per pair
@@ -268,21 +256,21 @@ def moment_table(model: TensorModel | CommutingModel, max_n: int = DEFAULT_MAX_N
     return MomentTable(n=n, m=m, tables=tables)
 
 
-def channel_from_moments(table: MomentTable, max_n: int = DEFAULT_MAX_N,
-                         symmetry_tol: float = 1e-6) -> ChannelFamily:
+SYMMETRY_TOL = 1e-6  # largest conjugate-symmetry defect channel_from_moments accepts
+
+
+def channel_from_moments(table: MomentTable) -> ChannelFamily:
     """Assemble the channel family from a moment table.
 
     The moment tensor is, up to index bookkeeping, the superoperator itself:
     L(rho)[(k,s),(j,r)] = sum_{i,l,p,t} T[i,j,l,k,p,r,t,s] rho[(l,t),(i,p)].
-    Grossly conjugate-asymmetric tables are rejected.
+    Tables whose conjugate-symmetry defect exceeds ``SYMMETRY_TOL`` are rejected.
     """
     n, m = table.n, table.m
-    _guard_n(n, max_n)
     defect = table.conjugate_symmetry_defect()
-    if not defect <= symmetry_tol:
+    if not defect <= SYMMETRY_TOL:
         raise DomainError(
-            f"moment table conjugate-symmetry defect {defect:.3e} exceeds {symmetry_tol:.1e}"
-        )
+            f"moment table conjugate-symmetry defect {defect:.3e} exceeds {SYMMETRY_TOL:.1e}")
     supers = table.tables.transpose(_T_TO_S).reshape(m, m, n ** 4, n ** 4)
     return ChannelFamily(n=n, m=m, supers=supers)
 
@@ -308,22 +296,24 @@ def choi(channel: ChannelFamily) -> np.ndarray:
     return S.transpose(0, 1, 4, 2, 5, 3).reshape(m, m, n2 * n2, n2 * n2)
 
 
+CP_TOL = 1e-9  # CPTPReport.completely_positive: the most negative Choi eigenvalue accepted
+TP_TOL = 1e-10  # CPTPReport.trace_preserving: the largest trace defect accepted
+
+
 @dataclass(frozen=True)
 class CPTPReport:
     """Complete-positivity and trace-preservation audit of a channel family."""
 
     min_choi_eigenvalue: float
     trace_defect: float
-    cp_tol: float = 1e-9
-    tp_tol: float = 1e-10
 
     @property
     def completely_positive(self) -> bool:
-        return self.min_choi_eigenvalue >= -self.cp_tol
+        return self.min_choi_eigenvalue >= -CP_TOL
 
     @property
     def trace_preserving(self) -> bool:
-        return self.trace_defect <= self.tp_tol
+        return self.trace_defect <= TP_TOL
 
     @property
     def accepted(self) -> bool:

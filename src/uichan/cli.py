@@ -115,11 +115,11 @@ def cmd_gen(args) -> int:
 def cmd_channel(args) -> int:
     t0 = time.perf_counter()
     model = serialize.model_from_json(_read_json(args.input))
+    max_n = _max_n()
     if args.method == "direct":
-        channel = channels.channel_direct(model, max_n=_max_n())
+        channel = channels.channel_direct(model, max_n=max_n)
     else:
-        channel = channels.channel_from_moments(channels.moment_table(model, max_n=_max_n()),
-                                                max_n=_max_n())
+        channel = channels.channel_from_moments(channels.moment_table(model, max_n=max_n))
     _emit(args, serialize.channel_to_json(channel), {"model": args.input}, t0)
     if args.audit:
         report = channels.cptp_report(channel)
@@ -174,16 +174,15 @@ def cmd_verify(args) -> int:
     # channel-level checks only make sense on a numerically valid model
     skipped = []
     if all(c["pass"] for c in checks):
-        direct = channels.channel_direct(model, max_n=_max_n())
-        via_moments = channels.channel_from_moments(channels.moment_table(model, max_n=_max_n()),
-                                                    max_n=_max_n())
+        max_n = _max_n()
+        direct = channels.channel_direct(model, max_n=max_n)
+        via_moments = channels.channel_from_moments(channels.moment_table(model, max_n=max_n))
         compare("dual_formula", direct, via_moments, 1e-10)
         report = channels.cptp_report(direct)
-        add("choi_psd", max(0.0, -report.min_choi_eigenvalue), 1e-9)
-        add("trace_preserving", report.trace_defect, 1e-10)
+        add("choi_psd", max(0.0, -report.min_choi_eigenvalue), channels.CP_TOL)
+        add("trace_preserving", report.trace_defect, channels.TP_TOL)
         if isinstance(model, models.TensorModel):
-            embedded = channels.channel_direct(models.embed_tensor_as_commuting(model),
-                                               max_n=_max_n())
+            embedded = channels.channel_direct(models.embed_tensor_as_commuting(model), max_n=max_n)
             compare("embedding_invariance", direct, embedded, 1e-12)
     else:
         skipped = ["dual_formula", "choi_psd", "trace_preserving", "embedding_invariance"]

@@ -96,9 +96,8 @@ class PVMFamily:
         return {"projector": _worst(np.append(idempotency, hermiticity)),
                 "completeness": _worst(completeness)}
 
-    def check(self, tol_abs: float | None = None) -> None:
-        t = linalg.tol(self.d) if tol_abs is None else tol_abs
-        _require_within("PVM family", self.defects(), t)
+    def check(self) -> None:
+        _require_within("PVM family", self.defects(), linalg.tol(self.d))
 
 
 class _Model:
@@ -136,9 +135,8 @@ class _Model:
         """``tol`` of the largest stored coupling unitary; every model check uses it."""
         return linalg.tol(max(self.U.shape[-1], self.V.shape[-1]))
 
-    def check(self, tol_abs: float | None = None) -> None:
-        t = self.tolerance if tol_abs is None else tol_abs
-        _require_within(type(self).__name__, self.defects(), t)
+    def check(self) -> None:
+        _require_within(type(self).__name__, self.defects(), self.tolerance)
 
 
 @dataclass(frozen=True)
@@ -222,6 +220,16 @@ class CommutingModel(_Model):
             tolerance=t,
             accepted=bool(worst <= t and uni <= t),
         )
+
+    def check(self) -> None:
+        """The unitarity and state checks of every model, then the commutation report's verdict."""
+        super().check()
+        report = self.commutation
+        if not report.accepted:
+            raise InvalidModelError(
+                f"commuting model rejected: max commutator {report.max_commutator:.3e}, "
+                f"max unitarity defect {report.max_unitarity_defect:.3e} "
+                f"(tolerance {report.tolerance:.3e})")
 
 
 @dataclass(frozen=True)

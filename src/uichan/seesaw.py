@@ -242,18 +242,19 @@ class LiftVerification:
         return self.deviation <= 1e-8
 
 
-def lift_and_verify(result: SeesawResult, f: np.ndarray,
-                    error_tol: float = 1e-6) -> LiftVerification:
+LIFT_ERROR_TOL = 1e-6  # lift_and_verify raises when the two Bell values differ by more
+
+
+def lift_and_verify(result: SeesawResult, f: np.ndarray) -> LiftVerification:
     """Push the lifted model through channel extraction and compare Bell values."""
     channel = channel_direct(result.lifted)
     behaviour = behaviour_from_channel(channel)
     lifted_value = bell_value(behaviour, f)
     deviation = abs(lifted_value - result.value)
-    if deviation > error_tol:
+    if deviation > LIFT_ERROR_TOL:
         raise PipelineInconsistencyError(
             f"lifted channel value {lifted_value:.12f} deviates from optimizer "
-            f"value {result.value:.12f} by {deviation:.3e} > {error_tol:.1e}"
-        )
+            f"value {result.value:.12f} by {deviation:.3e} > {LIFT_ERROR_TOL:.1e}")
     return LiftVerification(
         optimizer_value=result.value, lifted_value=lifted_value,
         deviation=deviation, behaviour=behaviour,

@@ -158,12 +158,8 @@ def behaviour_to_json(behaviour: Behaviour) -> dict[str, Any]:
 
 
 def behaviour_from_json(doc: dict[str, Any]) -> Behaviour:
-    try:
-        n, m = int(doc["n"]), int(doc["m"])
-        p = np.asarray(doc["p"], dtype=float)
-        return Behaviour(n=n, m=m, p=p)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad behaviour document: {exc}") from exc
+    p = table_from_json(doc)
+    return Behaviour(n=p.shape[0], m=p.shape[2], p=p)
 
 
 def table_from_json(doc: dict[str, Any]) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -411,3 +412,21 @@ class TestEmbeddingInvariance:
             tm = random_tensor_model(2, 2, 2, 3 if seed % 2 else 2, seed=seed)
             assert family_max_diff(channel_direct(tm),
                                    channel_direct(embed_tensor_as_commuting(tm))) <= 1e-12
+
+
+def test_no_public_callable_takes_a_tolerance():
+    # every pass/fail bound is a module constant next to its check; no call can move one
+    import uichan
+    from uichan.bell import Behaviour
+    from uichan.models import PVMFamily
+    callables = [obj for obj in map(uichan.__dict__.get, uichan.__all__)
+                 if inspect.isfunction(obj) or dataclasses.is_dataclass(obj)]
+    callables += [Behaviour.check, PVMFamily.check, TensorModel.check, CommutingModel.check]
+    for fn in callables:
+        # SeesawConfig.rel_tol is the see-saw's stopping rule, set by ``uichan seesaw --rel-tol``
+        params = [p for p in inspect.signature(fn).parameters
+                  if (p.endswith("_tol") or p.startswith("tol_")) and p != "rel_tol"]
+        assert params == [], fn.__qualname__
+    assert list(inspect.signature(channel_from_moments).parameters) == ["table"]
+    assert [f.name for f in dataclasses.fields(channels.CPTPReport)] == [
+        "min_choi_eigenvalue", "trace_defect"]

@@ -190,6 +190,13 @@ class TestGenAndVerify:
             assert message in err and "Traceback" not in err, argv
             assert not out.exists()
 
+    def test_cptp_tolerances_are_the_channels_bounds(self, model_path, tmp_path):
+        report = tmp_path / "report.json"
+        assert main(["verify", "-i", str(model_path), "-o", str(report)]) == 0
+        tolerance = {c["name"]: c["tolerance"] for c in read_payload(report)["checks"]}
+        assert tolerance["choi_psd"] == channels.CP_TOL
+        assert tolerance["trace_preserving"] == channels.TP_TOL
+
     def test_unitarity_verdict_matches_model_check(self, tmp_path):
         # n = 2, dA = 1, dB = 4: the tolerance is tol(8) of the 8 x 8 V, not tol(n dA) = tol(2)
         tm = random_tensor_model(2, 1, 1, 4, seed=3)
@@ -357,6 +364,30 @@ class TestBellCommands:
 
     def test_bell_direct_requires_input(self):
         assert main(["bell-direct"]) == 2
+
+    @pytest.mark.parametrize("command", ["bell-direct", "pipeline"])
+    @pytest.mark.parametrize("flaw", ["state_doubled", "projector_tripled"])
+    def test_invalid_strategy_exit_2(self, tmp_path, capsys, command, flaw):
+        # the CHSH strategy with one flaw; unchecked, its (x, y) cells sum to 4 or to 3.5
+        from uichan.bell import chsh_functional, chsh_optimal_strategy
+        alice, bob, psi = chsh_optimal_strategy()
+        if flaw == "state_doubled":
+            psi = 2 * psi
+        else:
+            P = np.array(alice.projectors)
+            P[0, 0] = 3 * np.eye(2)
+            alice = models.PVMFamily(d=2, m=2, n=2, projectors=P)
+        strat, functional = tmp_path / "strategy.json", tmp_path / "chsh.json"
+        strat.write_text(json.dumps(serialize.strategy_to_json(alice, bob, psi)))
+        functional.write_text(json.dumps({"n": 2, "m": 2, "p": chsh_functional().tolist()}))
+        argv = [command, "-i", str(strat), "-o", str(tmp_path / "out.json")]
+        if command == "pipeline":
+            argv += ["-f", str(functional)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
 
     def test_csv_export(self, tmp_path):
         csv_path = tmp_path / "behaviour.csv"

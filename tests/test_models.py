@@ -283,6 +283,17 @@ class TestValidateCommuting:
         assert rep.max_commutator > 0.05
         assert not rep.accepted
 
+    def test_check_rejects_haar_v_and_so_do_both_routes(self):
+        from uichan.channels import channel_direct, moment_table
+        cm = random_model("commuting", 2, 2, 2, 2, seed=19)
+        cm.check()
+        haar = linalg.haar_unitary_from(linalg.rng_from_seed(19), 2 * cm.d)
+        bad = CommutingModel(n=2, m=2, d=cm.d, state=cm.state, U=cm.U, V=(haar, cm.V[1]))
+        assert bad.defects()["unitarity"] <= bad.tolerance  # unitary: only commutation fails
+        for call in (CommutingModel.check, channel_direct, moment_table):
+            with pytest.raises(InvalidModelError, match="commuting model rejected"):
+                call(bad)
+
 
 class TestEmbedding:
     def test_scalar_locals_embed_trivially(self):
