@@ -22,8 +22,7 @@ from . import linalg
 from .channels import ChannelFamily, moments_from_channel
 from .errors import (DimensionMismatchError, DomainError, InconsistentChannelError,
                      InvalidModelError)
-from .models import (CommutingModel, PVMFamily, TensorModel, _fourier_phases, _freeze_state,
-                     _require_within, _state_defect)
+from .models import CommutingModel, PVMFamily, TensorModel, _checked_state, _fourier_phases
 
 
 def fourier_coeffs(n: int) -> np.ndarray:
@@ -90,9 +89,7 @@ def behaviour_direct(alice: PVMFamily, bob: PVMFamily, state: np.ndarray) -> Beh
         raise DimensionMismatchError("PVM families must share outcome and setting counts")
     alice.check()
     bob.check()
-    d = alice.d * bob.d
-    s = _freeze_state(state, d, "state")
-    _require_within("state", {"state": _state_defect(s)}, linalg.tol(d))
+    s = _checked_state(state, alice.d * bob.d, "state")
     rho = np.outer(s, np.conj(s)) if s.ndim == 1 else s
     ops = _product_projectors(alice.projectors, bob.projectors)
     p = np.real(np.trace(rho @ ops, axis1=-2, axis2=-1))  # (x, y, a, b)
@@ -167,7 +164,7 @@ def sub_povm_total_bound(model: TensorModel | CommutingModel) -> float:
     for blocks in (model.u_blocks(), model.v_blocks()):
         diag = blocks[:, k, k]  # (m, n, d, d): the blocks u_aa of every setting
         total = np.einsum("xaij,xakj->xik", diag, np.conj(diag)) / n
-        w = np.linalg.eigvalsh((total + np.conj(np.swapaxes(total, -1, -2))) / 2)
+        w = np.linalg.eigvalsh(linalg._hermitian_part(total))
         worst = max(worst, float(np.max(w[:, -1])))
     return worst
 

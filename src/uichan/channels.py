@@ -38,8 +38,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatchError, DomainError
-from .linalg import dag
-from .models import CommutingModel, TensorModel
+from .models import CommutingModel, TensorModel, _checked_state
 
 DEFAULT_MAX_N = 4
 
@@ -76,22 +75,13 @@ class ChannelFamily:
     def apply_to(self, rho: np.ndarray, x: int, y: int) -> np.ndarray:
         """Output state of the (x, y) channel on one input density matrix.
 
-        The settings must lie in 0..m-1; the input must be Hermitian, positive
-        semidefinite and of unit trace within tolerance.
+        The settings must lie in 0..m-1; the input must be an n^2 x n^2 density
+        matrix within tol(n^2), the bound every state outside a model meets.
         """
         if not (0 <= x < self.m and 0 <= y < self.m):
             raise DimensionMismatchError(f"setting pair ({x}, {y}) out of range for m={self.m}")
         n2 = self.n ** 2
-        A = linalg.as_matrix(rho, "rho")
-        if A.shape[0] != n2:
-            raise DimensionMismatchError(f"input state has dim {A.shape[0]}, expected {n2}")
-        t = linalg.tol(n2)
-        scale = max(1.0, float(np.linalg.norm(A)))
-        if not linalg.hermiticity_defect(A) <= t * scale:
-            raise DomainError("input is not hermitian within tolerance")
-        w = np.linalg.eigvalsh((A + dag(A)) / 2)
-        if not (w[0] >= -1e-9 * scale and abs(float(np.real(np.trace(A))) - 1.0) <= t):
-            raise DomainError("input is not a unit-trace PSD state within tolerance")
+        A = _checked_state(linalg.as_matrix(rho, "input state"), n2, "input state")
         return (self.supers[x, y] @ A.reshape(-1)).reshape(n2, n2)
 
 
@@ -324,7 +314,7 @@ def cptp_report(channel: ChannelFamily) -> CPTPReport:
     """Audit every member: min Choi eigenvalue and max_ab |Tr L(E_ab) - delta_ab|."""
     m, n2 = channel.m, channel.n ** 2
     J = choi(channel)
-    w = np.linalg.eigvalsh((J + np.conj(np.swapaxes(J, -1, -2))) / 2)
+    w = np.linalg.eigvalsh(linalg._hermitian_part(J))
     # Tr L(E_ab) = sum_u S[(u,u),(a,b)]
     traces = channel.supers.reshape(m, m, n2, n2, n2 * n2).trace(axis1=2, axis2=3)
     return CPTPReport(min_choi_eigenvalue=float(np.min(w[..., 0])),

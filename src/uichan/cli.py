@@ -43,8 +43,13 @@ def _max_n() -> int:
 
 
 def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise SchemaError(f"{path} nests too deeply to read") from None
     if isinstance(doc, dict) and "payload" in doc:
         return doc["payload"]
     return doc
@@ -89,19 +94,20 @@ def _emit(args, payload: dict, inputs: dict[str, str], t0: float, **extra) -> No
 
 
 def _load_functional(args) -> tuple[np.ndarray, dict[str, str]]:
-    if getattr(args, "preset", None) == "chsh":
+    if args.functional:
+        f = serialize.table_from_json(_read_json(args.functional))
+        return f, {"functional": args.functional}
+    if args.preset == "chsh":
         return bell.chsh_functional(), {}
-    if not getattr(args, "functional", None):
-        raise SchemaError("provide -f FUNCTIONAL or --preset chsh")
-    return serialize.table_from_json(_read_json(args.functional)), {"functional": args.functional}
+    raise SchemaError("provide -f FUNCTIONAL or --preset chsh")
 
 
 def _load_strategy(args) -> tuple[tuple, dict[str, str]]:
-    if getattr(args, "preset", None) == "chsh":
+    if args.input:
+        return serialize.strategy_from_json(_read_json(args.input)), {"strategy": args.input}
+    if args.preset == "chsh":
         return bell.chsh_optimal_strategy(), {}
-    if not getattr(args, "input", None):
-        raise SchemaError("provide -i STRATEGY or --preset chsh")
-    return serialize.strategy_from_json(_read_json(args.input)), {"strategy": args.input}
+    raise SchemaError("provide -i STRATEGY or --preset chsh")
 
 
 def cmd_gen(args) -> int:
@@ -165,9 +171,12 @@ def cmd_verify(args) -> int:
         rep = models.validate_commuting(model)
         add("commutation", rep.max_commutator, rep.tolerance)
         if not checks[-1]["pass"]:
-            norm, x, y, dagger, i, j, k, l = models._worst_commutator_entry(model)
+            norms = model._commutator_norms  # the first argmax: a NaN norm counts as largest
+            worst = np.unravel_index(np.argmax(norms), norms.shape)
+            x, dagger, y, ij, kl = (int(a) for a in worst)
+            (i, j), (k, l) = divmod(ij, model.n), divmod(kl, model.n)
             u = "u_ij^dag" if dagger else "u_ij"
-            print(f"verify: commutation failed: worst ||[{u}, v_kl]||_F {norm:.3e} at "
+            print(f"verify: commutation failed: worst ||[{u}, v_kl]||_F {norms[worst]:.3e} at "
                   f"(i, j)=({i + 1}, {j + 1}), (k, l)=({k + 1}, {l + 1}) "
                   f"(setting pair x={x + 1}, y={y + 1}, 1-based labels)", file=sys.stderr)
 
@@ -328,11 +337,8 @@ _json_indent = _int_within(-math.inf, MAX_JSON_INDENT,
                            f"an integer of at most {MAX_JSON_INDENT}")  # negative: compact
 
 
-def _add_common(p: argparse.ArgumentParser, output: bool = True) -> None:
-    if output:
-        p.add_argument("-o", "--output", help="output JSON path (default: stdout)")
-    p.add_argument("--tol", type=_finite_float, default=None,
-                   help="override the command's pass/fail tolerance (a finite number)")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("-o", "--output", help="output JSON path (default: stdout)")
     p.add_argument("--json-indent", type=_json_indent, default=2,
                    help=f"JSON indent for outputs, at most {MAX_JSON_INDENT}; negative for compact")
 
@@ -366,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run all validity checks on a model")
     p.add_argument("-i", "--input", required=True, help="model JSON")
+    p.add_argument("--tol", type=_finite_float, help="one tolerance for every check")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -377,14 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bell-direct", help="Born-rule behaviour of a PVM strategy")
     p.add_argument("-i", "--input", help="strategy JSON")
-    p.add_argument("--preset", choices=("chsh",), help="built-in strategy")
+    p.add_argument("--preset", choices=("chsh",), help="built-in strategy, when no -i is given")
     p.add_argument("--csv", help="also export the behaviour table as CSV")
     _add_common(p)
     p.set_defaults(func=cmd_bell_direct)
 
     p = sub.add_parser("seesaw", help="maximize a Bell functional over strategies")
     p.add_argument("-f", "--functional", help="functional JSON (nested-real table)")
-    p.add_argument("--preset", choices=("chsh",), help="built-in functional")
+    p.add_argument("--preset", choices=("chsh",), help="built-in functional, when no -f is given")
     p.add_argument("--dA", type=int, default=2)
     p.add_argument("--dB", type=int, default=2)
     p.add_argument("--restarts", type=int, default=20)
@@ -397,13 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="strategy -> lift -> channel -> behaviour, vs Born rule")
     p.add_argument("-i", "--input", help="strategy JSON")
     p.add_argument("-f", "--functional", help="functional JSON")
-    p.add_argument("--preset", choices=("chsh",), help="built-in strategy and functional")
+    p.add_argument("--preset", choices=("chsh",), help="built-in inputs where no file is given")
+    p.add_argument("--tol", type=_finite_float, help="largest deviation accepted (default 1e-8)")
     _add_common(p)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("swap-demo", help="constant-channel identity from swap couplings")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--tol", type=_finite_float, help="largest defect accepted (default 1e-12)")
     _add_common(p)
     p.set_defaults(func=cmd_swap_demo)
 

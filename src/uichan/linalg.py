@@ -114,10 +114,15 @@ def unitarity_defect(M: np.ndarray) -> float:
     return float(np.linalg.norm(dag(A) @ A - np.eye(A.shape[0])))
 
 
+def _hermitian_part(A: np.ndarray) -> np.ndarray:
+    """(A + A^dag)/2 of a matrix or of each member of a (..., d, d) stack."""
+    return (A + np.conj(A).swapaxes(-1, -2)) / 2
+
+
 def herm_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix or of a (..., d, d) stack of them.
 
-    Each matrix is symmetrized as (H + H^dag)/2 first; a matrix that is not
+    Each matrix is replaced by its Hermitian part first; a matrix that is not
     finite and Hermitian within tolerance is rejected by its index.  Returns
     eigenvalues in ascending order and unitary eigenvector matrices Q with
     H = Q diag(w) Q^dag, the same bytes as one call per matrix.
@@ -125,9 +130,8 @@ def herm_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A = np.asarray(H, dtype=complex)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionMismatchError(f"matrix must be square, got shape {A.shape}")
-    Ah = np.conj(A).swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite or near-limit entries
-        defect = np.linalg.norm(A - Ah, axis=(-2, -1))
+        defect = np.linalg.norm(A - np.conj(A).swapaxes(-1, -2), axis=(-2, -1))
         bound = tol(A.shape[-1]) * np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)))
     # an inf entry makes the bound inf, and a NaN defect compares false
     bad = ~np.isfinite(A).all(axis=(-2, -1)) | ~(defect <= bound)
@@ -136,7 +140,7 @@ def herm_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         where = f" {list(i)}" if i else ""
         raise DomainError(f"matrix{where} is not finite and hermitian within tolerance "
                           f"(defect {defect[i]:.3e})")
-    return np.linalg.eigh((A + Ah) / 2)
+    return np.linalg.eigh(_hermitian_part(A))
 
 
 def haar_unitary_from(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, InvalidModelError
+from .errors import DimensionMismatchError, DomainError, InvalidModelError
 from .linalg import dag
 
 
@@ -63,8 +63,17 @@ def _state_defect(state: np.ndarray) -> float:
     if state.ndim == 1:
         return abs(float(np.linalg.norm(state)) - 1.0)
     herm = linalg.hermiticity_defect(state)
-    w = np.linalg.eigvalsh((state + dag(state)) / 2)
+    w = np.linalg.eigvalsh(linalg._hermitian_part(state))
     return _worst([herm, abs(float(np.real(np.trace(state))) - 1.0), 0.0, -float(w[0])])
+
+
+def _checked_state(state: np.ndarray, dim: int, name: str) -> np.ndarray:
+    """The one check of a state given outside a model: frozen, within tol(dim) or DomainError."""
+    s = _freeze_state(state, dim, name)
+    defect, t = _state_defect(s), linalg.tol(dim)
+    if not defect <= t:
+        raise DomainError(f"{name} defects {dict(state=defect)} exceed tolerance {t:.3e}")
+    return s
 
 
 @dataclass(frozen=True)
@@ -202,8 +211,32 @@ class CommutingModel(_Model):
         return self._blocks(self.V[y])
 
     @cached_property
+    def _commutator_norms(self) -> np.ndarray:
+        """(m, 2, m, n^2, n^2) array of every entry commutator norm, measured once.
+
+        ``[x, dagger, y, i n + j, k n + l]`` is ||[u_ij, v_kl]||_F, or
+        ||[u_ij^dag, v_kl]||_F when ``dagger``, for U[x] and V[y].
+        """
+        m, n2, d = self.m, self.n ** 2, self.d
+        swap = (2, 1, 0, 3)
+        stacked_v = [_row_and_column(self.v_blocks(y)) for y in range(m)]
+        norms = np.empty((m, 2, m, n2, n2))
+        for x in range(m):
+            ub = self.u_blocks(x)
+            for dagger, blocks in enumerate((ub, np.conj(np.swapaxes(ub, -1, -2)))):
+                u_row, u_col = _row_and_column(blocks)
+                for y, (v_row, v_col) in enumerate(stacked_v):
+                    uv_re, uv_im = _entry_products(u_col, v_row)  # block (ij, kl) = u_ij v_kl
+                    vu_re, vu_im = _entry_products(v_col, u_row)  # block (kl, ij) = v_kl u_ij
+                    c_re = uv_re.reshape(n2, d, n2, d) - vu_re.reshape(n2, d, n2, d).transpose(swap)
+                    c_im = uv_im.reshape(n2, d, n2, d) - vu_im.reshape(n2, d, n2, d).transpose(swap)
+                    norms[x, dagger, y] = np.sum(c_re ** 2 + c_im ** 2, axis=(1, 3))
+        return np.sqrt(norms)
+
+    @cached_property
     def _max_commutator(self) -> float:
-        return _worst_commutator(self)
+        """Largest entry commutator norm; NaN if any is NaN."""
+        return float(np.max(self._commutator_norms))
 
     @cached_property
     def commutation(self) -> CommutationReport:
@@ -268,42 +301,6 @@ def _entry_products(column: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, np
     return P[:h, :w] - P[h:, w:], P[:h, w:] + P[h:, :w]
 
 
-def _commutator_norms(model: CommutingModel):
-    """Yield (x, y, dagger, norms) per setting pair and u or u^dag, in a fixed order.
-
-    ``norms[i n + j, k n + l]`` is ||[u_ij, v_kl]||_F^2, or ||[u_ij^dag, v_kl]||_F^2
-    when ``dagger``.
-    """
-    n2, d = model.n ** 2, model.d
-    swap = (2, 1, 0, 3)
-    stacked_v = [_row_and_column(model.v_blocks(y)) for y in range(model.m)]
-    for x in range(model.m):
-        ub = model.u_blocks(x)
-        for dagger, blocks in enumerate((ub, np.conj(np.swapaxes(ub, -1, -2)))):
-            u_row, u_col = _row_and_column(blocks)
-            for y, (v_row, v_col) in enumerate(stacked_v):
-                uv_re, uv_im = _entry_products(u_col, v_row)  # block (ij, kl) = u_ij v_kl
-                vu_re, vu_im = _entry_products(v_col, u_row)  # block (kl, ij) = v_kl u_ij
-                c_re = uv_re.reshape(n2, d, n2, d) - vu_re.reshape(n2, d, n2, d).transpose(swap)
-                c_im = uv_im.reshape(n2, d, n2, d) - vu_im.reshape(n2, d, n2, d).transpose(swap)
-                yield x, y, bool(dagger), np.sum(c_re ** 2 + c_im ** 2, axis=(1, 3))
-
-
-def _worst_commutator(model: CommutingModel) -> float:
-    """Largest ||[u_ij, v_kl]||_F and ||[u_ij^dag, v_kl]||_F over all settings and entries."""
-    return float(np.sqrt(np.max([np.max(norms) for *_, norms in _commutator_norms(model)])))
-
-
-def _worst_commutator_entry(model: CommutingModel) -> tuple:
-    """(norm, x, y, dagger, i, j, k, l) of the largest commutator, 0-based; a NaN is largest."""
-    worst = []
-    for x, y, dagger, norms in _commutator_norms(model):
-        ij, kl = (int(a) for a in np.unravel_index(np.argmax(norms), norms.shape))
-        worst.append((norms[ij, kl], x, y, dagger, *divmod(ij, model.n), *divmod(kl, model.n)))
-    norm, *where = worst[int(np.argmax([w[0] for w in worst]))]
-    return (float(np.sqrt(norm)), *where)
-
-
 def validate_commuting(model: CommutingModel) -> CommutationReport:
     """Measure how far the operator entries of U[x] and V[y] are from commuting.
 
@@ -314,8 +311,8 @@ def validate_commuting(model: CommutingModel) -> CommutationReport:
 
     Per (x, y) every product u_ij v_kl comes out of one BLAS matrix product
     of stacked entry blocks, and every v_kl u_ij out of a second, each
-    formed from real products (see ``_entry_products``).  The report is
-    computed once per model instance and cached on it (``commutation``).
+    formed from real products (see ``_entry_products``).  The report and each
+    entry's norm are cached on the model (``commutation``, ``_commutator_norms``).
     Only the commutator of a model built by ``embed_tensor_as_commuting``
     is taken from its construction (exactly 0) instead of measured; a
     model read from a file or built directly is measured in full.

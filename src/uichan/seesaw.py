@@ -27,7 +27,7 @@ from . import linalg
 from .bell import Behaviour, bell_value, behaviour_from_channel
 from .channels import channel_direct
 from .errors import DimensionMismatchError, PipelineInconsistencyError
-from .linalg import dag
+from .linalg import _hermitian_part, dag
 from .models import PVMFamily, TensorModel, diagonal_fourier_lift, random_pvm_family
 
 
@@ -85,20 +85,16 @@ def _positive_eigenspace_split(delta: np.ndarray, pi: np.ndarray) -> tuple[np.nd
     Returns (P_pos, P_rest): P_pos spans the strictly positive eigenspace of
     pi delta pi within range(pi); eigenvalues at zero go to P_rest.
     """
-    w_pi, Q_pi = np.linalg.eigh((pi + dag(pi)) / 2)
+    w_pi, Q_pi = np.linalg.eigh(_hermitian_part(pi))
     basis = Q_pi[:, w_pi > 0.5]  # orthonormal basis of range(pi)
     if basis.shape[1] == 0:
         z = np.zeros_like(delta)
         return z, z
     comp = dag(basis) @ delta @ basis
-    w, Q = np.linalg.eigh((comp + dag(comp)) / 2)
+    w, Q = np.linalg.eigh(_hermitian_part(comp))
     pos = basis @ Q[:, w > 0.0]
     P_pos = pos @ dag(pos)
     return P_pos, pi - P_pos
-
-
-def _hermitize(R: np.ndarray) -> np.ndarray:
-    return (R + np.conj(R).swapaxes(-1, -2)) / 2
 
 
 def _update_party(scores: np.ndarray, P: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -112,7 +108,7 @@ def _update_party(scores: np.ndarray, P: np.ndarray, d: int, n: int) -> np.ndarr
     """
     scores = np.asarray(scores)
     if n == 2:
-        w, vecs = np.linalg.eigh(_hermitize(scores[..., 0, :, :] - scores[..., 1, :, :]))
+        w, vecs = np.linalg.eigh(_hermitian_part(scores[..., 0, :, :] - scores[..., 1, :, :]))
         k = np.count_nonzero(w > 0.0, axis=-1)  # eigh sorts ascending: the last k columns
         first = np.zeros(vecs.shape, dtype=complex)
         for r in np.unique(k[k > 0]):  # one product per rank; a masked product moves bits
@@ -147,7 +143,7 @@ def _alice_scores(f: np.ndarray, Q: np.ndarray, rho: np.ndarray, dA: int, dB: in
     S = _weighted_sums(f, Q)
     rows = rho.reshape(rho.shape[:-2] + (1, 1, dA, dB, dA * dB))
     R = (S[..., None, :, :] @ rows).reshape(S.shape[:-2] + (dA, dB, dA, dB))
-    return _hermitize(np.einsum("...atbt->...ab", R))
+    return _hermitian_part(np.einsum("...atbt->...ab", R))
 
 
 def _bob_scores(f: np.ndarray, P: np.ndarray, rho: np.ndarray, dA: int, dB: int) -> np.ndarray:
@@ -161,7 +157,7 @@ def _bob_scores(f: np.ndarray, P: np.ndarray, rho: np.ndarray, dA: int, dB: int)
     rows = rho.reshape(lead + (dA, dB, dA, dB)).swapaxes(-4, -3).reshape(
         lead + (1, 1, dB, dA, dA * dB))
     R = (S[..., None, :, :] @ rows).swapaxes(-3, -2).reshape(S.shape[:-2] + (dA, dB, dA, dB))
-    return _hermitize(np.einsum("...tatb->...ab", R))
+    return _hermitian_part(np.einsum("...tatb->...ab", R))
 
 
 def optimize_bell(f: np.ndarray, cfg: SeesawConfig) -> SeesawResult:

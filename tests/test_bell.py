@@ -10,7 +10,7 @@ from uichan.bell import (Behaviour, behaviour_direct, behaviour_from_channel, be
                          fourier_coeffs, sub_povm_total_bound)
 from uichan.channels import channel_direct, moments_from_channel
 from uichan.errors import DimensionMismatchError, DomainError, InvalidModelError
-from uichan.models import (PVMFamily, diagonal_fourier_lift, random_pvm_family,
+from uichan.models import (PVMFamily, _state_defect, diagonal_fourier_lift, random_pvm_family,
                            random_tensor_model)
 
 from oracles import lastcond_contraction, unitaries_from_pvm
@@ -150,6 +150,25 @@ class TestBehaviourDirect:
                 op = np.kron(alice.projectors[x][a], bob.projectors[y][b])
                 p[a, b, x, y] = float(np.real(np.trace(rho @ op)))
             assert behaviour_direct(alice, bob, state).p.tobytes() == p.tobytes()
+
+
+class TestStateBound:
+    # _state_defect 5e-10 > tol(4) = 4e-10: least eigenvalue -5e-10, trace 1 exactly
+    OFF = np.diag([0.5 + 2.5e-10, 0.5 + 2.5e-10, 0.0, -5e-10])
+
+    def test_one_bound_for_strategies_and_channel_inputs(self):
+        assert _state_defect(self.OFF) > linalg.tol(4)
+        alice, bob, _ = chsh_optimal_strategy()
+        with pytest.raises(DomainError, match="exceed tolerance 4.000e-10"):
+            behaviour_direct(alice, bob, self.OFF)
+        family = channel_direct(random_tensor_model(2, 1, 1, 1, seed=2))
+        with pytest.raises(DomainError, match="exceed tolerance 4.000e-10"):
+            family.apply_to(self.OFF, 0, 0)
+        # within tol(4) both take it
+        inside = np.diag([0.5 + 1e-10, 0.5 + 1e-10, 0.0, -2e-10])
+        assert _state_defect(inside) <= linalg.tol(4)
+        behaviour_direct(alice, bob, inside)
+        family.apply_to(inside, 0, 0)
 
 
 class TestBellValue:

@@ -64,24 +64,24 @@ class TestGenAndVerify:
 
     def test_commutator_measured_once_per_verify(self, tmp_path, monkeypatch):
         # a tensor verify embeds its model, whose commutator is 0 by construction; a model
-        # file is measured once, and only a failed check is located, by a pass of its own
+        # file forms each of its 4 m^2 entry products once, and a failed check is located
+        # from the same measurement
+        m = 2
         paths = {kind: tmp_path / f"{kind}.json" for kind in ("tensor", "commuting")}
         for kind, path in paths.items():
-            assert main(["gen", "--kind", kind, "--n", "2", "--m", "2", "--dA", "2", "--dB", "3",
-                         "--seed", "5", "-o", str(path)]) == 0
+            assert main(["gen", "--kind", kind, "--n", "2", "--m", str(m), "--dA", "2",
+                         "--dB", "3", "--seed", "5", "-o", str(path)]) == 0
         paths["haar"] = write_haar_v(read_payload(paths["commuting"]), tmp_path / "haar.json")
         calls = []
-        for name in ("_worst_commutator", "_worst_commutator_entry"):
-            original = getattr(models, name)
-            monkeypatch.setattr(models, name, lambda model, name=name, original=original:
-                                calls.append(name) or original(model))
+        original = models._entry_products
+        monkeypatch.setattr(models, "_entry_products",
+                            lambda *a: calls.append(a) or original(*a))
         report = tmp_path / "report.json"
-        for kind, rc, measured, located in (("tensor", 0, 0, 0), ("commuting", 0, 1, 0),
-                                            ("haar", 1, 1, 1)):
+        for kind, rc, products in (("tensor", 0, 0), ("commuting", 0, 4 * m * m),
+                                   ("haar", 1, 4 * m * m)):
             calls.clear()
             assert main(["verify", "-i", str(paths[kind]), "-o", str(report)]) == rc
-            assert calls.count("_worst_commutator") == measured, kind
-            assert calls.count("_worst_commutator_entry") == located, kind
+            assert len(calls) == products, kind
         assert failed_checks(report) == ["commutation"]
 
     def test_file_cannot_borrow_the_embeddings_zero(self, tmp_path):
@@ -161,6 +161,17 @@ class TestGenAndVerify:
             assert "--tol: must be a finite number" in err and "Traceback" not in err
         assert not (tmp_path / "out.json").exists()
 
+    def test_tol_only_on_commands_that_read_it(self, model_path, tmp_path, capsys):
+        # verify, pipeline and swap-demo take --tol; the other commands have no tolerance to set
+        for argv in (["gen"], ["channel", "-i", str(model_path)], ["bell", "-i", str(model_path)],
+                     ["bell-direct", "--preset", "chsh"], ["seesaw", "--preset", "chsh"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--tol", "1", "-o", str(tmp_path / "out.json")])
+            assert exc.value.code == 2, argv
+            err = capsys.readouterr().err
+            assert "unrecognized arguments: --tol 1" in err and "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
+
     def test_out_of_range_numbers_exit_2(self, tmp_path, capsys):
         # a non-finite --rel-tol never converges and cannot go into the manifest;
         # a negative dimension used to reach numpy
@@ -210,6 +221,23 @@ class TestGenAndVerify:
         unitarity = next(c for c in read_payload(report)["checks"] if c["name"] == "unitarity")
         assert unitarity["pass"] and unitarity["tolerance"] == tm.tolerance == linalg.tol(8)
         assert main(["channel", "-i", str(path), "-o", str(tmp_path / "channel.json")]) == 0
+
+    @pytest.mark.parametrize("flaw", ["not_utf8", "deeply_nested"])
+    @pytest.mark.parametrize("argv", [["verify", "-i"], ["channel", "-i"], ["bell", "-i"],
+                                      ["bell-direct", "-i"], ["seesaw", "-f"],
+                                      ["pipeline", "--preset", "chsh", "-i"],
+                                      ["pipeline", "--preset", "chsh", "-f"]])
+    def test_unreadable_input_exit_2(self, tmp_path, capsys, argv, flaw):
+        bad = tmp_path / "bad.json"
+        if flaw == "not_utf8":
+            bad.write_bytes(b"\xff" + b"{}")
+        else:
+            bad.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "out.json"
+        assert main(argv + [str(bad), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} ") and len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_parse_error_exit_2(self, tmp_path):
         garbage = tmp_path / "garbage.json"
@@ -308,6 +336,19 @@ class TestVerifyNamesWhereARouteCheckFailed:
         assert f"(i, j)=({i + 1}, {j + 1}), (k, l)=({k + 1}, {l + 1})" in lines[0]
         assert f"x={x + 1}, y={y + 1}" in lines[0]
 
+    def test_commutation_nan_counts_as_largest(self, tmp_path, capsys, monkeypatch):
+        # the first NaN norm is named even after a larger finite one
+        path = tmp_path / "cm.json"
+        assert main(["gen", "--kind", "commuting", "--seed", "3", "-o", str(path)]) == 0
+        norms = np.zeros((2, 2, 2, 4, 4))
+        norms[0, 0, 0, 0, 0] = 5.0
+        norms[1, 1, 0, 2, 3] = norms[1, 1, 1, 0, 0] = np.nan
+        monkeypatch.setattr(CommutingModel, "_commutator_norms", property(lambda self: norms))
+        rc, checks, err = self.run(path, tmp_path, capsys)
+        assert rc == 1 and checks["commutation"]["defect"] is None
+        assert err == ("verify: commutation failed: worst ||[u_ij^dag, v_kl]||_F nan at "
+                       "(i, j)=(2, 1), (k, l)=(2, 2) (setting pair x=2, y=1, 1-based labels)\n")
+
 
 class TestChannelCommand:
     def test_methods_agree(self, model_path, tmp_path):
@@ -354,6 +395,24 @@ class TestBellCommands:
         doc = read_payload(tmp_path / "pipe.json")
         assert doc["max_deviation"] <= 1e-10
         assert abs(doc["value_direct"] - CHSH_OPTIMUM) <= 1e-9
+
+    def test_given_file_wins_over_preset(self, tmp_path):
+        # a non-CHSH strategy: --preset chsh fills in only the functional, which no file gives
+        from uichan.bell import behaviour_direct
+        alice = models.random_pvm_family(2, 2, 2, seed=3)
+        bob = models.random_pvm_family(3, 2, 2, seed=4)
+        psi = linalg.haar_state_vector(linalg.rng_from_seed(5), 6)
+        strat = tmp_path / "strategy.json"
+        strat.write_text(json.dumps(serialize.strategy_to_json(alice, bob, psi)))
+        expected = serialize.behaviour_to_json(behaviour_direct(alice, bob, psi))
+        for command, key in (("bell-direct", None), ("pipeline", "behaviour_direct")):
+            out = tmp_path / f"{command}.json"
+            assert main([command, "-i", str(strat), "--preset", "chsh", "-o", str(out)]) == 0
+            with open(out) as fh:
+                doc = json.load(fh)
+            assert (doc["payload"][key] if key else doc["payload"]) == expected, command
+            assert {name: i["path"] for name, i in doc["manifest"]["inputs"].items()} == {
+                "strategy": str(strat)}, command
 
     def test_bell_from_channel_file(self, model_path, tmp_path):
         chan, beh = tmp_path / "chan.json", tmp_path / "beh.json"

@@ -222,6 +222,20 @@ def haar_unitary(d, seed):
     return linalg.haar_unitary_from(linalg.rng_from_seed(seed), d)
 
 
+class TestHermitianPart:
+    @pytest.mark.parametrize("shape", [(5, 5), (3, 4, 4), (2, 3, 6, 6)])
+    def test_bytes_of_each_inline_form(self, shape):
+        # the forms it replaced: dag (2-D only), conj then swapaxes, swapaxes then conj
+        rng = np.random.default_rng(len(shape))
+        A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        inline = [(A + np.conj(A).swapaxes(-1, -2)) / 2,
+                  (A + np.conj(np.swapaxes(A, -1, -2))) / 2]
+        if A.ndim == 2:
+            inline.append((A + linalg.dag(A)) / 2)
+        for expected in inline:
+            assert linalg._hermitian_part(A).tobytes() == expected.tobytes()
+
+
 class TestHaarUnitary:
     def test_d1_unit_modulus(self):
         u = haar_unitary(1, seed=3)
