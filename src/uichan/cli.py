@@ -67,30 +67,38 @@ def _env() -> dict:
 
 
 def _emit(args, payload: dict, inputs: dict[str, str], t0: float, **extra) -> None:
-    """Write payload and manifest; ``extra`` entries go into the manifest, never the payload."""
+    """Write payload and manifest; ``extra`` entries go into the manifest, never the payload.
+
+    The document goes out piece by piece, so that no whole copy of its text
+    is held; ``wall_ms`` counts writing the payload.
+    """
     indent = args.json_indent if args.json_indent >= 0 else None
     config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
-    payload_text = serialize.dumps(payload, indent)
-    manifest = {
-        "command": args.command,
-        "version": __version__,
-        "seed": getattr(args, "seed", None),
-        "config": config,
-        "inputs": {name: {"path": path, "sha256": serialize.sha256_file(path)}
-                   for name, path in inputs.items()},
-        "payload_sha256": serialize.sha256_text(payload_text),
-        "wall_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-        "env": _env(),
-        **extra,
-    }
-    text = serialize.dumps_document(payload_text, manifest, indent)
-    del payload_text  # channel payloads run to tens of MB: hold one copy while writing
+    # digested before the output, which may be one of the inputs, is opened
+    digests = {name: {"path": path, "sha256": serialize.sha256_file(path)}
+               for name, path in inputs.items()}
+
+    def manifest(payload_sha256: str) -> dict:
+        return {
+            "command": args.command,
+            "version": __version__,
+            "seed": getattr(args, "seed", None),
+            "config": config,
+            "inputs": digests,
+            "payload_sha256": payload_sha256,
+            "wall_ms": round((time.perf_counter() - t0) * 1000.0, 3),
+            "env": _env(),
+            **extra,
+        }
+
+    pieces = serialize.document_pieces(payload, manifest, indent)  # a NaN payload raises here
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
             fh.write("\n")
     else:
-        print(text)
+        sys.stdout.writelines(pieces)
+        sys.stdout.write("\n")
 
 
 def _load_functional(args) -> tuple[np.ndarray, dict[str, str]]:
@@ -141,6 +149,10 @@ def cmd_channel(args) -> int:
     return EXIT_OK
 
 
+DUAL_FORMULA_TOL = 1e-10  # verify's dual_formula: largest |direct - moment route| entry accepted
+EMBEDDING_TOL = 1e-12  # verify's embedding_invariance: largest |tensor - embedded| entry accepted
+
+
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     model = serialize.model_from_json(_read_json(args.input))
@@ -186,13 +198,13 @@ def cmd_verify(args) -> int:
         max_n = _max_n()
         direct = channels.channel_direct(model, max_n=max_n)
         via_moments = channels.channel_from_moments(channels.moment_table(model, max_n=max_n))
-        compare("dual_formula", direct, via_moments, 1e-10)
+        compare("dual_formula", direct, via_moments, DUAL_FORMULA_TOL)
         report = channels.cptp_report(direct)
         add("choi_psd", max(0.0, -report.min_choi_eigenvalue), channels.CP_TOL)
         add("trace_preserving", report.trace_defect, channels.TP_TOL)
         if isinstance(model, models.TensorModel):
             embedded = channels.channel_direct(models.embed_tensor_as_commuting(model), max_n=max_n)
-            compare("embedding_invariance", direct, embedded, 1e-12)
+            compare("embedding_invariance", direct, embedded, EMBEDDING_TOL)
     else:
         skipped = ["dual_formula", "choi_psd", "trace_preserving", "embedding_invariance"]
 
@@ -259,6 +271,9 @@ def cmd_seesaw(args) -> int:
     return EXIT_OK if verification.ok else EXIT_CHECK_FAILED
 
 
+PIPELINE_TOL = 1e-8  # pipeline's default: largest |lifted - Born-rule behaviour| entry accepted
+
+
 def cmd_pipeline(args) -> int:
     t0 = time.perf_counter()
     (alice, bob, state), inputs = _load_strategy(args)
@@ -269,7 +284,7 @@ def cmd_pipeline(args) -> int:
     extracted = bell.behaviour_from_channel(channel)
     direct = bell.behaviour_direct(alice, bob, state)
     deviation = float(np.max(np.abs(extracted.p - direct.p)))
-    tol = args.tol if args.tol is not None else 1e-8
+    tol = args.tol if args.tol is not None else PIPELINE_TOL
     payload = {
         "value_lifted": bell.bell_value(extracted, f),
         "value_direct": bell.bell_value(direct, f),
@@ -281,6 +296,9 @@ def cmd_pipeline(args) -> int:
     }
     _emit(args, payload, inputs, t0)
     return EXIT_OK if deviation <= tol else EXIT_CHECK_FAILED
+
+
+SWAP_DEMO_TOL = 1e-12  # swap-demo's default: largest |output - target state| entry accepted
 
 
 def cmd_swap_demo(args) -> int:
@@ -299,7 +317,7 @@ def cmd_swap_demo(args) -> int:
         rho_in = linalg.wishart_density(rng, n * n)
         out = channel.apply_to(rho_in, 0, 0)
         defect = max(defect, float(np.max(np.abs(out - rho_target))))
-    tol = args.tol if args.tol is not None else 1e-12
+    tol = args.tol if args.tol is not None else SWAP_DEMO_TOL
     ok = defect <= tol
     payload = {"n": n, "inputs_tested": 10, "max_defect": defect, "tolerance": tol,
                "pass": bool(ok)}
@@ -405,14 +423,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", help="strategy JSON")
     p.add_argument("-f", "--functional", help="functional JSON")
     p.add_argument("--preset", choices=("chsh",), help="built-in inputs where no file is given")
-    p.add_argument("--tol", type=_finite_float, help="largest deviation accepted (default 1e-8)")
+    p.add_argument("--tol", type=_finite_float,
+                   help=f"largest deviation accepted (default {PIPELINE_TOL:g})")
     _add_common(p)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("swap-demo", help="constant-channel identity from swap couplings")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--tol", type=_finite_float, help="largest defect accepted (default 1e-12)")
+    p.add_argument("--tol", type=_finite_float,
+                   help=f"largest defect accepted (default {SWAP_DEMO_TOL:g})")
     _add_common(p)
     p.set_defaults(func=cmd_swap_demo)
 

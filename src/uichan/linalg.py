@@ -108,6 +108,7 @@ def hermiticity_defect(M: np.ndarray) -> float:
     return float(np.linalg.norm(A - dag(A)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge entries: an inf or NaN defect, failing
 def unitarity_defect(M: np.ndarray) -> float:
     """Frobenius norm of M^dag M - I."""
     A = as_matrix(M)

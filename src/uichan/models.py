@@ -211,6 +211,7 @@ class CommutingModel(_Model):
         return self._blocks(self.V[y])
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # huge entries: inf or NaN norms, failing
     def _commutator_norms(self) -> np.ndarray:
         """(m, 2, m, n^2, n^2) array of every entry commutator norm, measured once.
 

@@ -3,16 +3,19 @@
 Matrices travel as ``{"dim": d, "re": [...], "im": [...]}`` with row-major
 entry lists; vectors reuse the same container with ``dim`` equal to their
 length.  Doubles round-trip exactly through the shortest-repr decimal
-serialization the ``json`` module uses.  With an indent, ``dumps`` writes a
-list of plain floats as its ``repr`` with the separators re-indented: ``json``
-also writes each float with ``float.__repr__``, so the bytes are the same.
+serialization the ``json`` module uses.  Text is made in pieces, so that an
+output document goes to its file without a whole copy in memory: a list of
+plain floats is written as the ``repr`` of a few thousand entries at a time,
+separators re-indented.  ``json`` also writes each float with
+``float.__repr__``, so the bytes are the same.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+import math
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -176,51 +179,104 @@ def table_from_json(doc: dict[str, Any]) -> np.ndarray:
     return t
 
 
+FLOAT_SLICE = 4096  # floats per piece when a list of floats is written
+
+
 def dumps(doc: Any, indent: int | None = 2) -> str:
     """``json.dumps(doc, indent=indent, allow_nan=False)``, byte for byte.
 
-    With an indent ``json`` encodes in pure Python, so non-empty lists, tuples
-    and str-keyed dicts are written here; the rest is ``json``'s, re-indented.
+    Joined from the pieces ``document_pieces`` writes a payload in.
     """
-    if indent is None:
-        return json.dumps(doc, allow_nan=False)
-    step = " " * indent
-
-    def write(o: Any, pad: str) -> str:  # pad: newline plus this level's indentation
-        inner = pad + step
-        if type(o) is list and o and set(map(type, o)) == {float}:
-            text = repr(o)  # float.__repr__ per entry, as json writes them
-            if "n" not in text:  # else nan or inf: json raises below
-                return "[" + inner + text[1:-1].replace(", ", "," + inner) + pad + "]"
-        elif isinstance(o, (list, tuple)) and o:
-            return "[" + inner + ("," + inner).join(write(v, inner) for v in o) + pad + "]"
-        elif isinstance(o, dict) and o and all(isinstance(k, str) for k in o):
-            return "{" + inner + ("," + inner).join(
-                json.dumps(k) + ": " + write(v, inner) for k, v in o.items()) + pad + "}"
-        return json.dumps(o, indent=indent, allow_nan=False).replace("\n", pad)
-
-    return write(doc, "\n")
+    return "".join(_pieces(doc, indent, "" if indent is None else "\n"))
 
 
-def dumps_document(payload_text: str, manifest: dict[str, Any], indent: int | None = 2) -> str:
-    """``dumps({"payload": payload, "manifest": manifest}, indent)``, given ``dumps(payload, indent)``.
+def _pieces(o: Any, indent: int | None, pad: str) -> Iterator[str]:
+    """``json.dumps(o, indent=indent, allow_nan=False)`` in pieces, nested at ``pad``.
 
-    Nesting one level deeper only indents every line after the first by one
-    more step; ``json.dumps`` escapes newlines inside strings, so each raw
-    newline in the text is a line break.
+    ``pad`` is a newline plus this level's indentation, or "" when compact.
+    Non-empty lists, tuples and str-keyed dicts are written here; a list of
+    plain floats goes out as ``repr`` of ``FLOAT_SLICE`` entries at a time,
+    separators re-indented.  The rest is ``json``'s, re-indented.
     """
-    manifest_text = dumps(manifest, indent)
+    inner = "" if indent is None else pad + " " * indent
+    sep = ", " if indent is None else "," + inner
+    if type(o) is list and o and set(map(type, o)) == {float}:
+        yield "[" + inner
+        for start in range(0, len(o), FLOAT_SLICE):
+            part = o[start:start + FLOAT_SLICE]
+            text = repr(part)[1:-1]  # float.__repr__ per entry, as json writes them
+            if "n" in text:  # nan or inf
+                json.dumps(part, allow_nan=False)  # raises json's ValueError
+            yield (sep if start else "") + (text if indent is None else text.replace(", ", sep))
+        yield pad + "]"
+    elif isinstance(o, (list, tuple)) and o:
+        yield "[" + inner
+        for k, v in enumerate(o):
+            if k:
+                yield sep
+            yield from _pieces(v, indent, inner)
+        yield pad + "]"
+    elif isinstance(o, dict) and o and all(isinstance(key, str) for key in o):
+        yield "{" + inner
+        for k, (key, v) in enumerate(o.items()):
+            yield (sep if k else "") + json.dumps(key) + ": "
+            yield from _pieces(v, indent, inner)
+        yield pad + "}"
+    else:
+        yield json.dumps(o, indent=indent, allow_nan=False).replace("\n", pad)
+
+
+def document_pieces(payload: Any, manifest: Callable[[str], dict[str, Any]],
+                    indent: int | None = 2) -> Iterator[str]:
+    """``dumps({"payload": payload, "manifest": manifest(payload_sha256)}, indent)`` in pieces.
+
+    ``payload_sha256`` is the SHA-256 of ``dumps(payload, indent)``, hashed
+    piece by piece as the payload goes out; ``manifest`` is called after the
+    last payload piece.  No piece holds more than ``FLOAT_SLICE`` floats of
+    the payload.  A NaN or infinite float in the payload raises
+    ``ValueError`` in this call, before any piece is made.
+    """
+    _require_finite(payload)
+    return _document(payload, manifest, indent)
+
+
+def _document(payload: Any, manifest: Callable[[str], dict[str, Any]],
+              indent: int | None) -> Iterator[str]:
+    pad = "" if indent is None else "\n" + " " * indent
+    digest = hashlib.sha256()
+    yield "{" + pad + '"payload": '
+    for piece in _pieces(payload, indent, "" if indent is None else "\n"):
+        digest.update(piece.encode("utf-8"))
+        yield piece.replace("\n", pad)  # one level deeper: each line break gains a step
+    manifest_text = dumps(manifest(digest.hexdigest()), indent).replace("\n", pad)
     if indent is None:
-        return f'{{"payload": {payload_text}, "manifest": {manifest_text}}}'
-    pad = "\n" + " " * indent
-    payload_text, manifest_text = (t.replace("\n", pad) for t in (payload_text, manifest_text))
-    return f'{{{pad}"payload": {payload_text},{pad}"manifest": {manifest_text}\n}}'
+        yield ', "manifest": ' + manifest_text + "}"
+    else:
+        yield "," + pad + '"manifest": ' + manifest_text + "\n}"
 
 
-def sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _require_finite(o: Any) -> None:
+    """Raise ``json``'s ``ValueError`` if ``o`` holds a NaN or infinite float, as ``dumps`` does."""
+    if isinstance(o, float):
+        if not math.isfinite(o):
+            json.dumps(o, allow_nan=False)  # raises
+    elif isinstance(o, dict):
+        for key, value in o.items():
+            _require_finite(key)
+            _require_finite(value)
+    elif isinstance(o, (list, tuple)):
+        try:
+            if math.isfinite(sum(o)):  # numbers only, none of them NaN or infinite
+                return
+        except (TypeError, OverflowError):  # containers or strings among the entries
+            pass
+        for v in o:
+            _require_finite(v)
 
 
 def sha256_file(path: str) -> str:
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        while block := fh.read(1 << 20):  # 1 MiB at a time
+            digest.update(block)
+    return digest.hexdigest()

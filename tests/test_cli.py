@@ -1,19 +1,28 @@
+import hashlib
 import json
 import os
 import platform
 import subprocess
 import sys
+import time
+import tracemalloc
+import warnings
+from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uichan import channels, linalg, models, serialize
+from uichan import channels, cli, linalg, models, serialize
 from uichan.cli import MAX_JSON_INDENT, main
 from uichan.models import (CommutingModel, TensorModel, embed_tensor_as_commuting,
                            random_tensor_model)
 
 CHSH_OPTIMUM = (2 + np.sqrt(2)) / 4
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def read_payload(path):
@@ -130,6 +139,28 @@ class TestGenAndVerify:
         assert payload["skipped"] == ["dual_formula", "choi_psd", "trace_preserving",
                                       "embedding_invariance"]
 
+    @pytest.mark.parametrize("kind, field, expected", [
+        ("commuting", ("V", 1), ["verify: commutation failed: worst ||[u_ij, v_kl]||_F inf at "
+                                 "(i, j)=(1, 1), (k, l)=(1, 1) (setting pair x=1, y=2, "
+                                 "1-based labels)"]),
+        ("tensor", ("U", 0), []),
+    ])
+    def test_huge_entries_warn_nothing(self, tmp_path, capsys, kind, field, expected):
+        # overflowing defects fail their checks; stderr holds the failure lines and no numpy noise
+        path = tmp_path / "model.json"
+        assert main(["gen", "--kind", kind, "--n", "2", "--m", "2", "--dA", "8", "--dB", "8",
+                     "-o", str(path)]) == 0
+        doc = read_payload(path)
+        name, x = field
+        doc[name][x]["re"][0] = 1e200
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", "-i", str(path), "-o", str(tmp_path / "report.json")]) == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.splitlines() == expected
+
     @pytest.mark.parametrize("indent", [2, -1, 0, 1, 4])
     def test_output_is_the_dumped_document(self, model_path, tmp_path, indent):
         # against json.dumps itself: the file and the digested payload text
@@ -145,8 +176,8 @@ class TestGenAndVerify:
             expected = json.dumps({"payload": doc["payload"], "manifest": doc["manifest"]},
                                   indent=json_indent) + "\n"
             # digests, not texts: pytest's diff of two unequal MB-long strings takes minutes
-            assert serialize.sha256_text(text) == serialize.sha256_text(expected), argv
-            assert doc["manifest"]["payload_sha256"] == serialize.sha256_text(
+            assert sha256(text) == sha256(expected), argv
+            assert doc["manifest"]["payload_sha256"] == sha256(
                 json.dumps(doc["payload"], indent=json_indent))
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "abc"])
@@ -492,8 +523,7 @@ class TestPipelineAndSeesaw:
             doc = json.load(fh)
         payload, restarts = doc["payload"], doc["manifest"]["restarts"]
         assert "restarts" not in payload
-        assert doc["manifest"]["payload_sha256"] == serialize.sha256_text(
-            json.dumps(payload, indent=2))
+        assert doc["manifest"]["payload_sha256"] == sha256(json.dumps(payload, indent=2))
         assert len(restarts) == 20
         assert all(r["stop"] in ("converged", "decreased", "max_iters") for r in restarts)
         best = restarts[payload["restart_index"]]
@@ -518,7 +548,7 @@ class TestPipelineAndSeesaw:
             assert env["blas"] is None or set(env["blas"]) == {"name", "version"}
         assert docs[0]["payload"] == docs[1]["payload"]
         assert (docs[0]["manifest"]["payload_sha256"] == docs[1]["manifest"]["payload_sha256"]
-                == serialize.sha256_text(json.dumps(docs[0]["payload"], indent=2)))
+                == sha256(json.dumps(docs[0]["payload"], indent=2)))
 
 
 def test_python_m_uichan_help():
@@ -528,6 +558,72 @@ def test_python_m_uichan_help():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "seesaw" in proc.stdout
+
+
+class TestEmitStreamsTheDocument:
+    """``cli._emit`` writes the document in pieces; the bytes are ``json.dumps``'s."""
+
+    @staticmethod
+    def payload():
+        S = serialize.FLOAT_SLICE
+        rng = np.random.default_rng(4)
+        lists = [(rng.standard_normal(k) * 10.0 ** rng.integers(-300, 300, k)).tolist()
+                 for k in (0, 1, S - 1, S, S + 1, 3 * S + 7)]
+        return {"n": 4, "text": "a\nb", "flat": lists[0],
+                "rows": [lists[1], {"deep": (lists[2], lists[3])}], "pair": (lists[4], [lists[5]])}
+
+    @pytest.mark.parametrize("indent", [None, 0, 1, 2, 4])
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_document_is_json_dumps(self, tmp_path, capsys, indent, to_file):
+        payload = self.payload()
+        out = tmp_path / "out.json"
+        args = Namespace(command="gen", json_indent=-1 if indent is None else indent,
+                         output=str(out) if to_file else None)
+        cli._emit(args, payload, {}, time.perf_counter())
+        text = out.read_text() if to_file else capsys.readouterr().out
+        manifest = json.loads(text)["manifest"]
+        expected = json.dumps({"payload": payload, "manifest": manifest}, indent=indent) + "\n"
+        assert sha256(text) == sha256(expected)  # pytest's diff of unequal MB-long texts is slow
+        assert manifest["payload_sha256"] == sha256(json.dumps(payload, indent=indent))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_payload_leaves_output_alone(self, tmp_path, capsys, bad):
+        out = tmp_path / "out.json"
+        out.write_text("kept")
+        S = serialize.FLOAT_SLICE
+        for where in ("head", "slice", "tail", "scalar", "key", "tuple"):
+            payload = self.payload()
+            if where == "head":
+                payload["pair"][1][0][0] = bad
+            elif where == "slice":
+                payload["pair"][1][0][2 * S] = bad
+            elif where == "tail":
+                payload["pair"][1][0][-1] = bad
+            elif where == "scalar":
+                payload["rows"][1]["x"] = bad
+            elif where == "key":
+                payload["rows"][1][bad] = 1.0
+            else:
+                payload["rows"][1]["deep"] = (*payload["rows"][1]["deep"], (1, bad))
+            for output in (str(out), None):
+                args = Namespace(command="gen", json_indent=2, output=output)
+                with pytest.raises(ValueError):
+                    cli._emit(args, payload, {}, time.perf_counter())
+                assert out.read_text() == "kept", where
+                assert capsys.readouterr().out == "", where
+
+    def test_holds_no_copy_of_the_text(self, tmp_path):
+        rng = np.random.default_rng(5)
+        payload = {"super": [rng.standard_normal(65536).tolist() for _ in range(8)]}
+        out = tmp_path / "big.json"
+        args = Namespace(command="channel", json_indent=2, output=str(out))
+        tracemalloc.start()
+        try:
+            cli._emit(args, payload, {}, time.perf_counter())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.stat().st_size / 4, (peak, out.stat().st_size)
 
 
 class TestSwapDemo:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -181,14 +182,25 @@ class TestDumps:
 
     @pytest.mark.parametrize("indent", [None, 0, 1, 2, 4])
     def test_document_around_payload_text(self, indent):
-        payload = {"text": "two\nlines", "rows": [[1.5, -0.0], []], "empty": {}}
-        manifest = {"command": "x", "config": {"seed": None}}
-        text = serialize.dumps_document(serialize.dumps(payload, indent), manifest, indent)
-        assert text == serialize.dumps({"payload": payload, "manifest": manifest}, indent)
+        # the manifest is made after the payload, from the digest of the payload's own text
+        payload = {"text": "two\nlines", "rows": [[1.5, -0.0], []], "empty": {},
+                   "long": [0.25] * (serialize.FLOAT_SLICE + 1)}
+        digests = []
 
-    def test_digests(self):
-        text = serialize.dumps({"a": 1})
-        assert len(serialize.sha256_text(text)) == 64
+        def manifest(payload_sha256):
+            digests.append(payload_sha256)
+            return {"command": "x", "config": {"seed": None}, "payload_sha256": payload_sha256}
+
+        text = "".join(serialize.document_pieces(payload, manifest, indent))
+        want = hashlib.sha256(json.dumps(payload, indent=indent).encode()).hexdigest()
+        assert digests == [want]
+        assert text == json.dumps({"payload": payload, "manifest": manifest(want)}, indent=indent)
+
+    def test_digests(self, tmp_path):
+        path = tmp_path / "blob"
+        data = np.random.default_rng(0).bytes(3 * (1 << 20) + 12345)  # over 1 MiB, not a multiple
+        path.write_bytes(data)
+        assert serialize.sha256_file(str(path)) == hashlib.sha256(data).hexdigest()
 
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 1e300, -1e300, 1e-300, -1e-300]
@@ -215,6 +227,9 @@ class TestDumpsEqualsJson:
     @pytest.mark.parametrize("indent", [None, 0, 1, 2, 4])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_raises(self, indent, bad):
-        for doc in (bad, [bad], [0.5, bad, -1.0], {"p": [[0.25, bad]]}, (bad, 1.0)):
+        beyond_a_piece = [0.5] * (3 * serialize.FLOAT_SLICE + 7)
+        beyond_a_piece[2 * serialize.FLOAT_SLICE + 1] = bad
+        for doc in (bad, [bad], [0.5, bad, -1.0], {"p": [[0.25, bad]]}, (bad, 1.0),
+                    beyond_a_piece):
             with pytest.raises(ValueError):
                 serialize.dumps(doc, indent)
