@@ -6,17 +6,17 @@ ancilla pair A'B'.  This module computes that family
 * directly, by conjugating the aligned input with the coupling unitaries
   and tracing out the mediating system:
   ``L(rho) = Tr_env[ W^dag align(rho x sigma) W ]`` with
-  ``W = (U^x x I)(I x V^y)``.  A density state sigma is sandwiched between
-  conj(W) and W, with W built without a Kronecker product.  A vector state
-  psi never forms W or sigma = psi psi^dag: conj(psi) is contracted into
-  U^x, V^y is applied after, and the sandwich is sum_env conj(X) X; and
+  ``W = (U^x x I)(I x V^y)``, never formed.  The state enters as a factor
+  pair sigma = left right^dag, (psi, psi) for a vector state and (sigma, I)
+  for a density state; each factor's conjugate is contracted into U^x, V^y
+  is applied after, and the sandwich is conj(X_left) X_right^T; and
 * from the moment table of the operator entries,
   ``T[i,j,l,k,p,r,t,s] = phi(u^x_ij (u^x_lk)* x v^y_pr (v^y_ts)*)``,
   via ``L(rho)[(k,s),(j,r)] = sum_{i,l,p,t} T[i,j,l,k,p,r,t,s] rho[(l,t),(i,p)]``,
   contracting each party's Gram products of operator entries with sigma.
 
 Agreement of the two routes is the toolkit's central cross-check, so they
-share no intermediate: the direct route uses only W or the psi-contracted
+share no intermediate: the direct route uses only the factor-contracted
 U and V, and the moment route only Gram products contracted with sigma.
 
 Vectorization is row-major and frozen: a matrix entry at row (k, s) and
@@ -123,47 +123,28 @@ class MomentTable:
         }
 
 
-def _coupling_unitary(model: TensorModel | CommutingModel, x: int, y: int) -> np.ndarray:
-    """W = (U^x x I)(I x V^y) as a tensor with the model's register axes, rows then columns.
+def _factor_contracted(model: TensorModel | CommutingModel, x: int, y: int,
+                       F: np.ndarray) -> np.ndarray:
+    """X[..., k] = sum_E conj(F[E, k]) W[..., E, ...] for a (D, r) factor F, as (n^4, env, r).
 
-    No Kronecker product is formed.  For tensor models W is the entrywise
-    product U[a, c] V[b, e].  For commuting models U^x and V^y meet only on
-    the shared system's leg: one (n d n, d) x (d, n d n) matrix product.
+    conj(F) goes into U^x first and V^y is applied after, so W is never
+    formed.  Axis 0 is W's ancilla legs (A' row, B' row, A' column, B'
+    column), axis 1 its mediating-system column legs, which are traced out.
     """
-    n = model.n
-    if isinstance(model, TensorModel):
-        U, V = model.U[x], model.V[y]
-        dims = (n, model.dA, model.dB, n)
-        return (U[:, None, :, None] * V[None, :, None, :]).reshape(dims + dims)
-    d = model.d
-    # rows (A', H, A' column) of U^x against its H column; V^y on its physical (H, B') legs
-    U_rows = model.U[x].reshape(n * d * n, d)
-    v_phys = model.V[y].reshape(n, d, n, d).transpose(1, 0, 3, 2).reshape(d, n * d * n)
-    return (U_rows @ v_phys).reshape(n, d, n, n, d, n).transpose(0, 1, 3, 2, 4, 5)
-
-
-def _psi_contracted(model: TensorModel | CommutingModel, x: int, y: int) -> np.ndarray:
-    """X = sum_E conj(psi_E) W[..., E, ...] for a vector state, as an (n^4, env) matrix.
-
-    conj(psi) is contracted into U^x first and V^y applied after, so neither
-    W nor psi psi^dag is formed.  Rows are W's ancilla legs (A' row, B' row,
-    A' column, B' column); columns are its mediating-system column legs,
-    which the partial trace sums over.
-    """
-    n, psi_bar = model.n, np.conj(model.state)
+    n, F_bar = model.n, np.conj(F)
     if isinstance(model, TensorModel):
         dA, dB = model.dA, model.dB
         U4 = model.U[x].reshape(n, dA, n, dA)
         V4 = model.V[y].reshape(dB, n, dB, n)
-        Y = np.einsum("AB,GAOp->GOpB", psi_bar.reshape(dA, dB), U4, optimize=True)
-        X = np.einsum("GOpB,BDqR->GDORpq", Y, V4, optimize=True)
+        Y = np.einsum("ABk,GAOp->GOpBk", F_bar.reshape(dA, dB, -1), U4, optimize=True)
+        X = np.einsum("GOpBk,BDqR->GDORpqk", Y, V4, optimize=True)
     else:
         d = model.d
         U4 = model.U[x].reshape(n, d, n, d)
         v_phys4 = model.V[y].reshape(n, d, n, d).transpose(1, 0, 3, 2)
-        Y = np.einsum("E,GEOh->GOh", psi_bar, U4, optimize=True)
-        X = np.einsum("GOh,hDpR->GDORp", Y, v_phys4, optimize=True)
-    return X.reshape(n ** 4, -1)
+        Y = np.einsum("Ek,GEOh->GOhk", F_bar, U4, optimize=True)
+        X = np.einsum("GOhk,hDpR->GDORpk", Y, v_phys4, optimize=True)
+    return X.reshape(n ** 4, -1, F.shape[1])
 
 
 def channel_direct(model: TensorModel | CommutingModel, max_n: int = DEFAULT_MAX_N) -> ChannelFamily:
@@ -173,34 +154,28 @@ def channel_direct(model: TensorModel | CommutingModel, max_n: int = DEFAULT_MAX
     superoperator column is the response to one matrix-unit input (the
     per-unit sandwiches are evaluated in a single tensor contraction).
 
-    A vector state psi goes through ``_psi_contracted``: with
-    X = conj(psi)-contracted W, the sandwich is sum_env conj(X) X, one
-    matrix product per setting pair.  A density state keeps the full
-    sandwich of sigma between conj(W) and W.  This route never forms a Gram
-    product of operator entries; ``moment_table`` never forms W.
+    The state is a factor pair sigma[e, E] = sum_k left[e, k] conj(right[E, k]):
+    (psi, psi) for a vector state, (sigma, I) for a density state, which keeps
+    sigma as given, as the moment route does.  ``_factor_contracted`` takes psi,
+    or [sigma | I] stacked, and the sandwich is conj(X_left) X_right^T summed
+    over env and k, one matrix product per setting pair.  This route never
+    forms a Gram product of operator entries; ``moment_table`` never forms W.
     """
     model.check()
     n, m = model.n, model.m
     _guard_n(n, max_n)
     n4 = n ** 4
-    supers = np.empty((m, m, n4, n4), dtype=complex)
     if model.state_is_vector:
-        for x, y in np.ndindex(m, m):
-            X = _psi_contracted(model, x, y)
-            S = (np.conj(X) @ X.T).reshape((n,) * 8)  # axes (g, d, o, r, G, D, O, R)
-            supers[x, y] = S.transpose(2, 3, 6, 7, 0, 1, 4, 5).reshape(n4, n4)
-        return ChannelFamily(n=n, m=m, supers=supers)
-    sigma = model.density()
+        factors, r = model.state[:, None], 1  # left = right = psi
+    else:
+        r = len(model.state)
+        factors = np.hstack([model.state, np.eye(r)])  # [left | right]
+    supers = np.empty((m, m, n4, n4), dtype=complex)
     for x, y in np.ndindex(m, m):
-        W = _coupling_unitary(model, x, y)
-        if isinstance(model, TensorModel):
-            sig4 = sigma.reshape(model.dA, model.dB, model.dA, model.dB)
-            S = np.einsum("gabdopqr,abAB,GABDOpqR->orORgdGD",
-                          np.conj(W), sig4, W, optimize=True)
-        else:
-            S = np.einsum("gedopr,eE,GEDOpR->orORgdGD",
-                          np.conj(W), sigma, W, optimize=True)
-        supers[x, y] = S.reshape(n4, n4)
+        X = _factor_contracted(model, x, y, factors)
+        X_left, X_right = X[..., :r].reshape(n4, -1), X[..., -r:].reshape(n4, -1)
+        S = (np.conj(X_left) @ X_right.T).reshape((n,) * 8)  # axes (g, d, o, r, G, D, O, R)
+        supers[x, y] = S.transpose(2, 3, 6, 7, 0, 1, 4, 5).reshape(n4, n4)
     return ChannelFamily(n=n, m=m, supers=supers)
 
 

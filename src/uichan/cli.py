@@ -178,7 +178,16 @@ def cmd_verify(args) -> int:
 
     defects = model.defects()
     add("unitarity", defects["unitarity"], model.tolerance)
+    if not checks[-1]["pass"]:
+        per_matrix = model._unitarity_by_matrix  # the first argmax: a NaN defect counts as largest
+        of_v, s = divmod(int(np.argmax(per_matrix)), model.m)
+        print(f"verify: unitarity failed: worst ||M^dag M - I||_F {per_matrix[of_v, s]:.3e} "
+              f"at stored {'UV'[of_v]} (setting {'xy'[of_v]}={s + 1}, 1-based labels)",
+              file=sys.stderr)
     add("state", defects["state"], model.tolerance)
+    if not checks[-1]["pass"]:
+        print(f"verify: state failed: defect {defects['state']:.3e} exceeds tolerance "
+              f"{checks[-1]['tolerance']:.3e}", file=sys.stderr)
     if isinstance(model, models.CommutingModel):
         rep = models.validate_commuting(model)
         add("commutation", rep.max_commutator, rep.tolerance)

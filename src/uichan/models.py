@@ -40,9 +40,9 @@ def _worst(values) -> float:
     return float(np.max(list(values)))
 
 
-def _worst_unitarity(*stacks) -> float:
-    """Largest unitarity defect over every matrix of the given stacks."""
-    return _worst(linalg.unitarity_defect(M) for stack in stacks for M in stack)
+def _unitarity_defects(stack: np.ndarray) -> np.ndarray:
+    """Unitarity defect of each matrix of a (k, D, D) stack."""
+    return np.array([linalg.unitarity_defect(M) for M in stack])
 
 
 def _require_within(what: str, defects: dict[str, float], t: float) -> None:
@@ -129,8 +129,13 @@ class _Model:
         return np.asarray(self.state)
 
     @cached_property
+    def _unitarity_by_matrix(self) -> np.ndarray:
+        """(2, m) array of unitarity defects: ``[0, x]`` of the stored U[x], ``[1, y]`` of V[y]."""
+        return np.array([_unitarity_defects(self.U), _unitarity_defects(self.V)])
+
+    @cached_property
     def _defects(self) -> dict[str, float]:
-        return {"unitarity": _worst_unitarity(self.U, self.V), "state": _state_defect(self.state)}
+        return {"unitarity": _worst(self._unitarity_by_matrix), "state": _state_defect(self.state)}
 
     def defects(self) -> dict[str, float]:
         """Worst unitarity defect of the stored U and V, and the state's defect.
@@ -367,7 +372,7 @@ def _fourier_unitaries(projectors: np.ndarray, n: int) -> np.ndarray:
     u = np.zeros(projectors.shape, dtype=complex)
     for a in range(n):
         u += phases[:, a, None, None] * projectors[:, None, a]
-    if not _worst_unitarity(u.reshape(-1, d, d)) <= linalg.tol(d):
+    if not _worst(_unitarity_defects(u.reshape(-1, d, d))) <= linalg.tol(d):
         raise InvalidModelError("Fourier combination of the projectors is not unitary; "
                                 "the PVM is invalid")
     return u

@@ -29,6 +29,14 @@ class SchemaError(ValueError):
     """A JSON document does not match the expected wire format."""
 
 
+def _size(doc: dict[str, Any], key: str) -> int:
+    """The size field ``doc[key]``, which must be a JSON integer: no float, string or bool."""
+    value = doc[key]
+    if type(value) is not int:
+        raise SchemaError(f"{key} must be a JSON integer, got {value!r:.40}")
+    return value
+
+
 def matrix_to_json(M: np.ndarray) -> dict[str, Any]:
     A = np.asarray(M, dtype=complex)
     if A.ndim == 1:
@@ -43,7 +51,7 @@ def matrix_to_json(M: np.ndarray) -> dict[str, Any]:
 
 def matrix_from_json(doc: dict[str, Any]) -> np.ndarray:
     try:
-        dim = int(doc["dim"])
+        dim = _size(doc, "dim")
         re = np.asarray(doc["re"], dtype=float)
         im = np.asarray(doc["im"], dtype=float)
     except (KeyError, TypeError) as exc:
@@ -98,15 +106,15 @@ def model_to_json(model: TensorModel | CommutingModel) -> dict[str, Any]:
 def model_from_json(doc: dict[str, Any]) -> TensorModel | CommutingModel:
     try:
         kind = doc["kind"]
-        n, m = int(doc["n"]), int(doc["m"])
+        n, m = _size(doc, "n"), _size(doc, "m")
         state = _state_from_json(doc["state"])
         U = tuple(matrix_from_json(d) for d in doc["U"])
         V = tuple(matrix_from_json(d) for d in doc["V"])
         if kind == "tensor":
-            return TensorModel(n=n, m=m, dA=int(doc["dA"]), dB=int(doc["dB"]),
+            return TensorModel(n=n, m=m, dA=_size(doc, "dA"), dB=_size(doc, "dB"),
                                state=state, U=U, V=V)
         if kind == "commuting":
-            return CommutingModel(n=n, m=m, d=int(doc["d"]), state=state, U=U, V=V)
+            return CommutingModel(n=n, m=m, d=_size(doc, "d"), state=state, U=U, V=V)
     except SchemaError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -125,10 +133,10 @@ def strategy_to_json(alice: PVMFamily, bob: PVMFamily, state: np.ndarray) -> dic
 
 def strategy_from_json(doc: dict[str, Any]) -> tuple[PVMFamily, PVMFamily, np.ndarray]:
     try:
-        n, m = int(doc["n"]), int(doc["m"])
-        alice = PVMFamily(d=int(doc["dA"]), m=m, n=n, projectors=tuple(
+        n, m = _size(doc, "n"), _size(doc, "m")
+        alice = PVMFamily(d=_size(doc, "dA"), m=m, n=n, projectors=tuple(
             tuple(matrix_from_json(P) for P in row) for row in doc["P"]))
-        bob = PVMFamily(d=int(doc["dB"]), m=m, n=n, projectors=tuple(
+        bob = PVMFamily(d=_size(doc, "dB"), m=m, n=n, projectors=tuple(
             tuple(matrix_from_json(Q) for Q in row) for row in doc["Q"]))
         state = _state_from_json(doc["state"])
     except SchemaError:
@@ -147,7 +155,7 @@ def channel_to_json(channel: ChannelFamily) -> dict[str, Any]:
 
 def channel_from_json(doc: dict[str, Any]) -> ChannelFamily:
     try:
-        n, m = int(doc["n"]), int(doc["m"])
+        n, m = _size(doc, "n"), _size(doc, "m")
         supers = tuple(tuple(matrix_from_json(S) for S in row) for row in doc["super"])
         return ChannelFamily(n=n, m=m, supers=supers)
     except SchemaError:
@@ -168,7 +176,7 @@ def behaviour_from_json(doc: dict[str, Any]) -> Behaviour:
 def table_from_json(doc: dict[str, Any]) -> np.ndarray:
     """Nested-real [a][b][x][y] table; shared by behaviours and functionals."""
     try:
-        n, m = int(doc["n"]), int(doc["m"])
+        n, m = _size(doc, "n"), _size(doc, "m")
         t = np.asarray(doc["p"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad table document: {exc}") from exc

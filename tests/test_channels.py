@@ -125,24 +125,33 @@ class TestKronFreeForms:
         tm = random_tensor_model(n, m, dA, dB, state="density", seed=seed)
         return [tm, embed_tensor_as_commuting(tm), native_commuting_model(n, m, dA * dB, seed)]
 
-    @pytest.mark.parametrize("n, m, dA, dB", SHAPES)
-    def test_coupling_unitary_equals_kron_form_bit_for_bit(self, n, m, dA, dB):
-        for seed in range(5):
-            for model in self.models(n, m, dA, dB, seed):
-                for x, y in np.ndindex(m, m):
-                    ref = coupling_unitary_by_kron(model, x, y)
-                    W = channels._coupling_unitary(model, x, y)
-                    assert np.ascontiguousarray(W).reshape(ref.shape).tobytes() == ref.tobytes()
+    @staticmethod
+    def coupling_unitary(model, x, y):
+        """W read off the identity-factor columns of the stacked [sigma | I] contraction.
 
-    @pytest.mark.parametrize("n, m, dA, dB", [(3, 2, 3, 2), (3, 1, 4, 4), (3, 1, 1, 1)])
-    def test_coupling_unitary_near_kron_form_at_n3(self, n, m, dA, dB):
-        # at n = 3 the kron form's (3d)^2-wide product rounds some entries in BLAS edge
-        # kernels of its own, so the two forms may part by an ulp there
+        With F = I the contraction is W itself: rows are its ancilla legs, the
+        middle axis its mediating-system column legs, the last its row legs.
+        """
+        D = len(model.state)
+        factors = np.hstack([model.density(), np.eye(D)])
+        X = channels._factor_contracted(model, x, y, factors)[..., D:]
+        n = model.n
+        if isinstance(model, TensorModel):
+            W = X.reshape((n,) * 4 + (model.dA, model.dB) * 2).transpose(0, 6, 7, 1, 2, 4, 5, 3)
+        else:
+            W = X.reshape((n,) * 4 + (model.d,) * 2).transpose(0, 5, 1, 2, 4, 3)
+        return W.reshape(n * D * n, n * D * n)
+
+    # at n = 3 the kron form's (3d)^2-wide product rounds some entries in BLAS edge kernels
+    # of its own, and the contraction's sums run in an order of their own
+    @pytest.mark.parametrize("n, m, dA, dB",
+                             SHAPES + [(3, 2, 3, 2), (3, 1, 4, 4), (3, 1, 1, 1)])
+    def test_identity_factor_columns_match_kron_form(self, n, m, dA, dB):
         for seed in range(5):
             for model in self.models(n, m, dA, dB, seed):
                 for x, y in np.ndindex(m, m):
+                    W = self.coupling_unitary(model, x, y)
                     ref = coupling_unitary_by_kron(model, x, y)
-                    W = channels._coupling_unitary(model, x, y).reshape(ref.shape)
                     assert np.max(np.abs(W - ref)) <= 2 * np.finfo(float).eps
 
     @pytest.mark.parametrize("kind", ["tensor", "commuting"])
@@ -152,6 +161,20 @@ class TestKronFreeForms:
             dense = dataclasses.replace(model, state=model.density())
             assert model.state_is_vector and not dense.state_is_vector
             assert family_max_diff(channel_direct(model), channel_direct(dense)) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["tensor", "commuting"])
+    def test_density_factor_pair_is_exact(self, kind):
+        # sigma enters as (sigma, I), as given; a factor of its Hermitian part would drop
+        # the anti-Hermitian part that the moment route keeps, and part from it by ~3e-11
+        tm = random_tensor_model(2, 2, 2, 3, state="density", seed=920)
+        rng = linalg.rng_from_seed(921)
+        A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        skew = (A - linalg.dag(A)) / np.linalg.norm(A - linalg.dag(A))
+        tm = dataclasses.replace(tm, state=tm.density() + 1e-10 * skew)
+        model = tm if kind == "tensor" else embed_tensor_as_commuting(tm)
+        assert 1e-10 < model.defects()["state"] <= linalg.tol(6)
+        assert family_max_diff(channel_direct(model),
+                               channel_from_moments(moment_table(model))) <= 1e-14
 
     @pytest.mark.parametrize("kind", ["tensor", "commuting"])
     @pytest.mark.parametrize("state", ["vector", "density"])
@@ -166,8 +189,7 @@ class TestKronFreeForms:
             mp.setattr(channels, "_gram", forbidden)
             assert np.array_equal(channel_direct(model).supers, direct.supers)
         with monkeypatch.context() as mp:
-            mp.setattr(channels, "_coupling_unitary", forbidden)
-            mp.setattr(channels, "_psi_contracted", forbidden)
+            mp.setattr(channels, "_factor_contracted", forbidden)
             assert np.array_equal(moment_table(model).tables, table.tables)
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uichan import channels, cli, linalg, models, serialize
+from uichan import bell, channels, cli, linalg, models, serialize
 from uichan.cli import MAX_JSON_INDENT, main
 from uichan.models import (CommutingModel, TensorModel, embed_tensor_as_commuting,
                            random_tensor_model)
@@ -140,10 +140,13 @@ class TestGenAndVerify:
                                       "embedding_invariance"]
 
     @pytest.mark.parametrize("kind, field, expected", [
-        ("commuting", ("V", 1), ["verify: commutation failed: worst ||[u_ij, v_kl]||_F inf at "
+        ("commuting", ("V", 1), ["verify: unitarity failed: worst ||M^dag M - I||_F nan at "
+                                 "stored V (setting y=2, 1-based labels)",
+                                 "verify: commutation failed: worst ||[u_ij, v_kl]||_F inf at "
                                  "(i, j)=(1, 1), (k, l)=(1, 1) (setting pair x=1, y=2, "
                                  "1-based labels)"]),
-        ("tensor", ("U", 0), []),
+        ("tensor", ("U", 0), ["verify: unitarity failed: worst ||M^dag M - I||_F nan at "
+                              "stored U (setting x=1, 1-based labels)"]),
     ])
     def test_huge_entries_warn_nothing(self, tmp_path, capsys, kind, field, expected):
         # overflowing defects fail their checks; stderr holds the failure lines and no numpy noise
@@ -270,6 +273,36 @@ class TestGenAndVerify:
         assert err.startswith(f"error: {bad} ") and len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("document", ["model", "strategy", "channel", "table", "matrix"])
+    def test_size_fields_must_be_json_integers(self, tmp_path, capsys, document):
+        # 2.9 and "2" used to be read as 2, and true as 1
+        tm = random_tensor_model(2, 2, 2, 2, seed=5)
+        docs = {
+            "model": (["verify", "-i"], serialize.model_to_json(tm), ["n", "m", "dA", "dB"]),
+            "strategy": (["bell-direct", "-i"],
+                         serialize.strategy_to_json(*bell.chsh_optimal_strategy()),
+                         ["n", "m", "dA", "dB"]),
+            "channel": (["bell", "-i"], serialize.channel_to_json(channels.channel_direct(tm)),
+                        ["n", "m"]),
+            "table": (["seesaw", "--restarts", "1", "-f"],
+                      {"n": 2, "m": 2, "p": bell.chsh_functional().tolist()}, ["n", "m"]),
+            "matrix": (["verify", "-i"], serialize.model_to_json(tm), ["dim"]),
+        }
+        argv, doc, fields = docs[document]
+        commuting = serialize.model_to_json(embed_tensor_as_commuting(tm))
+        cases = [(doc, field) for field in fields] + [(commuting, "d")] * (document == "model")
+        bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+        for base, field in cases:
+            for value in (2.9, "2", True):
+                broken = json.loads(json.dumps(base))
+                (broken["U"][0] if field == "dim" else broken)[field] = value
+                bad.write_text(json.dumps(broken))
+                assert main(argv + [str(bad), "-o", str(out)]) == 2, (field, value)
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+                assert f"{field} must be a JSON integer, got {value!r}" in err
+                assert not out.exists()
+
     def test_parse_error_exit_2(self, tmp_path):
         garbage = tmp_path / "garbage.json"
         garbage.write_text("{not json")
@@ -366,6 +399,46 @@ class TestVerifyNamesWhereARouteCheckFailed:
         assert ("u_ij^dag" in lines[0]) == bool(dagger)
         assert f"(i, j)=({i + 1}, {j + 1}), (k, l)=({k + 1}, {l + 1})" in lines[0]
         assert f"x={x + 1}, y={y + 1}" in lines[0]
+
+    @pytest.mark.parametrize("kind", ["tensor", "commuting"])
+    @pytest.mark.parametrize("name, x", [("U", 1), ("V", 0)])
+    def test_unitarity(self, tmp_path, capsys, kind, name, x):
+        path = tmp_path / "model.json"
+        assert main(["gen", "--kind", kind, "--seed", "3", "-o", str(path)]) == 0
+        doc = read_payload(path)
+        doc[name][x]["re"][1] += 1e-3
+        path.write_text(json.dumps(doc))
+        rc, checks, err = self.run(path, tmp_path, capsys)
+        assert rc == 1 and not checks["unitarity"]["pass"] and checks["state"]["pass"]
+        label = "y" if name == "V" else "x"
+        assert err.splitlines()[0] == (
+            f"verify: unitarity failed: worst ||M^dag M - I||_F "
+            f"{checks['unitarity']['defect']:.3e} at stored {name} "
+            f"(setting {label}={x + 1}, 1-based labels)")
+
+    def test_unitarity_nan_counts_as_largest(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "model.json"
+        assert main(["gen", "--m", "3", "--seed", "3", "-o", str(path)]) == 0
+        defects = np.array([[0.0, 5.0, 0.0], [np.nan, 0.0, np.nan]])
+        monkeypatch.setattr(TensorModel, "_unitarity_by_matrix", property(lambda self: defects))
+        monkeypatch.setattr(TensorModel, "_defects", property(
+            lambda self: {"unitarity": np.nan, "state": 0.0}))
+        rc, checks, err = self.run(path, tmp_path, capsys)
+        assert rc == 1 and checks["unitarity"]["defect"] is None
+        assert err == ("verify: unitarity failed: worst ||M^dag M - I||_F nan at stored V "
+                       "(setting y=1, 1-based labels)\n")
+
+    def test_state(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        assert main(["gen", "--state", "density", "--seed", "3", "-o", str(path)]) == 0
+        doc = read_payload(path)
+        doc["state"]["matrix"]["re"][0] += 1e-3  # the trace is off by 1e-3
+        path.write_text(json.dumps(doc))
+        rc, checks, err = self.run(path, tmp_path, capsys)
+        assert rc == 1 and checks["unitarity"]["pass"] and not checks["state"]["pass"]
+        state = checks["state"]
+        assert err == (f"verify: state failed: defect {state['defect']:.3e} exceeds tolerance "
+                       f"{state['tolerance']:.3e}\n")
 
     def test_commutation_nan_counts_as_largest(self, tmp_path, capsys, monkeypatch):
         # the first NaN norm is named even after a larger finite one
