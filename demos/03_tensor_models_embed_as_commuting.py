@@ -21,11 +21,10 @@ print(f"embedded model lives on d = {cm.d} = dA*dB = {tm.dA}*{tm.dB}")
 
 # a model built from the arrays alone, as read from a file, measures its commutator
 as_read = CommutingModel(n=cm.n, m=cm.m, d=cm.d, state=cm.state, U=cm.U, V=cm.V)
-report = validate_commuting(as_read)
-assert report.max_commutator == validate_commuting(cm).max_commutator == 0.0
-print(f"entrywise commutation: max commutator {report.max_commutator:.3e}, "
-      f"max unitarity defect {report.max_unitarity_defect:.3e} "
-      f"-> accepted={report.accepted}")
+for check in as_read.checks():  # unitarity, state, then validate_commuting's record
+    print(f"{check.name}: defect {check.defect:.3e} (tolerance {check.tolerance:.1e}) "
+          f"-> passed={check.passed}")
+assert validate_commuting(as_read).defect == validate_commuting(cm).defect == 0.0
 
 gap = np.max(np.abs(channel_direct(tm).supers - channel_direct(cm).supers))
 print(f"channel family preserved by the embedding, max gap {gap:.3e}")
@@ -38,5 +37,5 @@ impostor = CommutingModel(n=2, m=1, d=4,
                           U=(linalg.haar_unitary_from(rng, 8),),
                           V=(linalg.haar_unitary_from(rng, 8),))
 bad = validate_commuting(impostor)
-print(f"unrelated Haar unitaries: max commutator {bad.max_commutator:.3f} "
-      f"-> accepted={bad.accepted}")
+print(f"unrelated Haar unitaries: max commutator {bad.defect:.3f} -> passed={bad.passed}")
+print(f"  {bad.where}")

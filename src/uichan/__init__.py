@@ -17,7 +17,7 @@ from .channels import (ChannelFamily, CPTPReport, MomentTable, channel_direct,
 from .errors import (DimensionMismatchError, DomainError, InconsistentChannelError,
                      InvalidModelError, PipelineInconsistencyError)
 from .linalg import herm_eig, swap_matrix, tol
-from .models import (CommutationReport, CommutingModel, PVMFamily, TensorModel,
+from .models import (Check, CommutingModel, PVMFamily, TensorModel,
                      diagonal_fourier_lift, embed_tensor_as_commuting, random_model,
                      random_pvm_family, random_tensor_model, validate_commuting)
 from .seesaw import (LiftVerification, SeesawConfig, SeesawResult, lift_and_verify,
@@ -34,7 +34,7 @@ __all__ = [
     "DimensionMismatchError", "DomainError", "InconsistentChannelError",
     "InvalidModelError", "PipelineInconsistencyError",
     "herm_eig", "swap_matrix", "tol",
-    "CommutationReport", "CommutingModel", "PVMFamily", "TensorModel",
+    "Check", "CommutingModel", "PVMFamily", "TensorModel",
     "diagonal_fourier_lift", "embed_tensor_as_commuting", "random_model",
     "random_pvm_family", "random_tensor_model", "validate_commuting",
     "LiftVerification", "SeesawConfig", "SeesawResult", "lift_and_verify",

@@ -22,7 +22,8 @@ from . import linalg
 from .channels import ChannelFamily, moments_from_channel
 from .errors import (DimensionMismatchError, DomainError, InconsistentChannelError,
                      InvalidModelError)
-from .models import CommutingModel, PVMFamily, TensorModel, _checked_state, _fourier_phases
+from .models import (Check, CommutingModel, PVMFamily, TensorModel, _checked_state,
+                     _fourier_phases)
 
 
 def fourier_coeffs(n: int) -> np.ndarray:
@@ -63,16 +64,17 @@ class Behaviour:
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
 
-    def defects(self) -> dict[str, float]:
+    def checks(self) -> tuple[Check, Check]:
         """Most negative entry and worst per-(x,y) normalization residual."""
-        neg = max(0.0, -float(self.p.min()))
-        norm = float(np.max(np.abs(self.p.sum(axis=(0, 1)) - 1.0)))
-        return {"negativity": neg, "normalization": norm}
+        return (Check("negativity", max(0.0, -float(self.p.min())), NEG_TOL),
+                Check("normalization", float(np.max(np.abs(self.p.sum(axis=(0, 1)) - 1.0))),
+                      NORM_TOL))
 
     def check(self) -> None:
-        d = self.defects()
-        if d["negativity"] > NEG_TOL or d["normalization"] > NORM_TOL:
-            raise InvalidModelError(f"behaviour defects {d} exceed tolerances")
+        checks = self.checks()
+        if not all(c.passed for c in checks):
+            defects = {c.name: c.defect for c in checks}
+            raise InvalidModelError(f"behaviour defects {defects} exceed tolerances")
 
 
 def _product_projectors(P: np.ndarray, Q: np.ndarray) -> np.ndarray:

@@ -38,7 +38,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatchError, DomainError
-from .models import CommutingModel, TensorModel, _checked_state
+from .models import (Check, CommutingModel, TensorModel, _checked_state, _first_worst,
+                     _setting_pair)
 
 DEFAULT_MAX_N = 4
 
@@ -261,8 +262,8 @@ def choi(channel: ChannelFamily) -> np.ndarray:
     return S.transpose(0, 1, 4, 2, 5, 3).reshape(m, m, n2 * n2, n2 * n2)
 
 
-CP_TOL = 1e-9  # CPTPReport.completely_positive: the most negative Choi eigenvalue accepted
-TP_TOL = 1e-10  # CPTPReport.trace_preserving: the largest trace defect accepted
+CP_TOL = 1e-9  # cptp_report's choi_psd: the most negative Choi eigenvalue accepted
+TP_TOL = 1e-10  # cptp_report's trace_preserving: the largest trace defect accepted
 
 
 @dataclass(frozen=True)
@@ -271,26 +272,36 @@ class CPTPReport:
 
     min_choi_eigenvalue: float
     trace_defect: float
-
-    @property
-    def completely_positive(self) -> bool:
-        return self.min_choi_eigenvalue >= -CP_TOL
-
-    @property
-    def trace_preserving(self) -> bool:
-        return self.trace_defect <= TP_TOL
+    choi_psd: Check
+    trace_preserving: Check
 
     @property
     def accepted(self) -> bool:
-        return self.completely_positive and self.trace_preserving
+        return self.choi_psd.passed and self.trace_preserving.passed
 
 
 def cptp_report(channel: ChannelFamily) -> CPTPReport:
-    """Audit every member: min Choi eigenvalue and max_ab |Tr L(E_ab) - delta_ab|."""
+    """Audit every member: min Choi eigenvalue and max_ab |Tr L(E_ab) - delta_ab|.
+
+    Each record names its worst setting pair; the first is taken, and a NaN counts as worst.
+    """
     m, n2 = channel.m, channel.n ** 2
-    J = choi(channel)
-    w = np.linalg.eigvalsh(linalg._hermitian_part(J))
+    w = np.linalg.eigvalsh(linalg._hermitian_part(choi(channel)))
+    least, (x, y) = _first_worst(w[..., 0], least=True)
     # Tr L(E_ab) = sum_u S[(u,u),(a,b)]
     traces = channel.supers.reshape(m, m, n2, n2, n2 * n2).trace(axis1=2, axis2=3)
-    return CPTPReport(min_choi_eigenvalue=float(np.min(w[..., 0])),
-                      trace_defect=float(np.max(np.abs(traces.reshape(m, m, n2, n2) - np.eye(n2)))))
+    worst, (tx, ty, a, b) = _first_worst(np.abs(traces.reshape(m, m, n2, n2) - np.eye(n2)))
+    return CPTPReport(
+        min_choi_eigenvalue=least, trace_defect=worst,
+        choi_psd=Check("choi_psd", 0.0 if least >= 0 else -least, CP_TOL,
+                       f"least Choi eigenvalue {least:.3e} {_setting_pair(x, y)}"),
+        trace_preserving=Check("trace_preserving", worst, TP_TOL,
+                               f"worst |Tr L(E_ab) - delta_ab| {worst:.3e} at "
+                               f"(a, b)=({a + 1}, {b + 1}) {_setting_pair(tx, ty)}"))
+
+
+def gap_check(name: str, a: ChannelFamily, b: ChannelFamily, tolerance: float) -> Check:
+    """The largest |a - b| superoperator entry as a check, naming the first worst entry."""
+    worst, (x, y, row, col) = _first_worst(np.abs(a.supers - b.supers))
+    return Check(name, worst, tolerance, f"worst |difference| {worst:.3e} at "
+                                         f"supers[{x}, {y}][{row}, {col}] {_setting_pair(x, y)}")

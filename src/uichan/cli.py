@@ -4,7 +4,7 @@ Every output file wraps its payload as ``{"payload": ..., "manifest": ...}``;
 the manifest echoes the command, configuration, seed, toolkit version,
 input digests and the payload digest, so reruns with identical inputs are
 checkable byte-for-byte on the payload section.  ``manifest.env`` names the
-Python, numpy and BLAS build the run used.
+Python, numpy and BLAS build the run used, and ``UICHAN_MAX_N`` as set.
 
 Exit codes: 0 success, 1 numerical check failure, 2 input error.
 The dense-storage guard n <= 4 can be overridden with the environment
@@ -14,6 +14,7 @@ variable ``UICHAN_MAX_N``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -56,14 +57,15 @@ def _read_json(path: str) -> dict:
 
 
 def _env() -> dict:
-    """Python, numpy and BLAS of this run: seeded bit-identity holds for one BLAS build."""
+    """Python, numpy, BLAS and guard override of this run; seeded bit-identity is per BLAS build."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = {"name": blas.get("name"), "version": blas.get("version")}
     except (TypeError, KeyError):  # numpy before 1.26 only prints its configuration
         blas = None
     return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
-            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "uichan_max_n": os.environ.get("UICHAN_MAX_N")}
 
 
 def _emit(args, payload: dict, inputs: dict[str, str], t0: float, **extra) -> None:
@@ -140,8 +142,8 @@ def cmd_channel(args) -> int:
         print(serialize.dumps({
             "min_choi_eigenvalue": report.min_choi_eigenvalue,
             "trace_defect": report.trace_defect,
-            "completely_positive": report.completely_positive,
-            "trace_preserving": report.trace_preserving,
+            "completely_positive": report.choi_psd.passed,
+            "trace_preserving": report.trace_preserving.passed,
             "pass": report.accepted,
         }, args.json_indent if args.json_indent >= 0 else None))
         if not report.accepted:
@@ -153,72 +155,42 @@ DUAL_FORMULA_TOL = 1e-10  # verify's dual_formula: largest |direct - moment rout
 EMBEDDING_TOL = 1e-12  # verify's embedding_invariance: largest |tensor - embedded| entry accepted
 
 
+def _report(check: models.Check) -> dict:
+    """The payload entry of a check; a failed one also gets one stderr line saying where."""
+    if not check.passed:
+        where = check.where or f"defect {check.defect:.3e} exceeds tolerance {check.tolerance:.3e}"
+        print(f"verify: {check.name} failed: {where}", file=sys.stderr)
+    # a NaN or infinite defect (say from overflowing entries) is written as null, failing
+    defect = check.defect if math.isfinite(check.defect) else None
+    return {"name": check.name, "defect": defect, "tolerance": check.tolerance,
+            "pass": check.passed}
+
+
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     model = serialize.model_from_json(_read_json(args.input))
-    checks = []
-
-    def add(name: str, defect: float, tolerance: float) -> None:
-        # a NaN or infinite defect (say from overflowing entries) is recorded as null, failing
-        tolerance = args.tol if args.tol is not None else tolerance
-        defect = float(defect)
-        checks.append({"name": name, "defect": defect if np.isfinite(defect) else None,
-                       "tolerance": tolerance, "pass": bool(defect <= tolerance)})
-
-    def compare(name: str, a: channels.ChannelFamily, b: channels.ChannelFamily,
-                tolerance: float) -> None:
-        # a failed comparison names where it failed on stderr; the payload keeps the defect only
-        gap = np.abs(a.supers - b.supers)
-        add(name, np.max(gap), tolerance)
-        if not checks[-1]["pass"]:
-            x, y, row, col = np.unravel_index(np.argmax(gap), gap.shape)
-            print(f"verify: {name} failed: worst |difference| {gap[x, y, row, col]:.3e} at "
-                  f"supers[{x}, {y}][{row}, {col}] (setting pair x={x + 1}, y={y + 1}, "
-                  f"1-based labels)", file=sys.stderr)
-
-    defects = model.defects()
-    add("unitarity", defects["unitarity"], model.tolerance)
-    if not checks[-1]["pass"]:
-        per_matrix = model._unitarity_by_matrix  # the first argmax: a NaN defect counts as largest
-        of_v, s = divmod(int(np.argmax(per_matrix)), model.m)
-        print(f"verify: unitarity failed: worst ||M^dag M - I||_F {per_matrix[of_v, s]:.3e} "
-              f"at stored {'UV'[of_v]} (setting {'xy'[of_v]}={s + 1}, 1-based labels)",
-              file=sys.stderr)
-    add("state", defects["state"], model.tolerance)
-    if not checks[-1]["pass"]:
-        print(f"verify: state failed: defect {defects['state']:.3e} exceeds tolerance "
-              f"{checks[-1]['tolerance']:.3e}", file=sys.stderr)
-    if isinstance(model, models.CommutingModel):
-        rep = models.validate_commuting(model)
-        add("commutation", rep.max_commutator, rep.tolerance)
-        if not checks[-1]["pass"]:
-            norms = model._commutator_norms  # the first argmax: a NaN norm counts as largest
-            worst = np.unravel_index(np.argmax(norms), norms.shape)
-            x, dagger, y, ij, kl = (int(a) for a in worst)
-            (i, j), (k, l) = divmod(ij, model.n), divmod(kl, model.n)
-            u = "u_ij^dag" if dagger else "u_ij"
-            print(f"verify: commutation failed: worst ||[{u}, v_kl]||_F {norms[worst]:.3e} at "
-                  f"(i, j)=({i + 1}, {j + 1}), (k, l)=({k + 1}, {l + 1}) "
-                  f"(setting pair x={x + 1}, y={y + 1}, 1-based labels)", file=sys.stderr)
-
+    # --tol replaces every tolerance before any verdict is read, the gate below included
+    retol = {} if args.tol is None else {"tolerance": args.tol}
+    checks = [dataclasses.replace(c, **retol) for c in model.checks()]
     # channel-level checks only make sense on a numerically valid model
     skipped = []
-    if all(c["pass"] for c in checks):
+    if all(c.passed for c in checks):
         max_n = _max_n()
         direct = channels.channel_direct(model, max_n=max_n)
         via_moments = channels.channel_from_moments(channels.moment_table(model, max_n=max_n))
-        compare("dual_formula", direct, via_moments, DUAL_FORMULA_TOL)
         report = channels.cptp_report(direct)
-        add("choi_psd", max(0.0, -report.min_choi_eigenvalue), channels.CP_TOL)
-        add("trace_preserving", report.trace_defect, channels.TP_TOL)
+        more = [channels.gap_check("dual_formula", direct, via_moments, DUAL_FORMULA_TOL),
+                report.choi_psd, report.trace_preserving]
         if isinstance(model, models.TensorModel):
             embedded = channels.channel_direct(models.embed_tensor_as_commuting(model), max_n=max_n)
-            compare("embedding_invariance", direct, embedded, EMBEDDING_TOL)
+            more.append(channels.gap_check("embedding_invariance", direct, embedded,
+                                           EMBEDDING_TOL))
+        checks += [dataclasses.replace(c, **retol) for c in more]
     else:
         skipped = ["dual_formula", "choi_psd", "trace_preserving", "embedding_invariance"]
 
-    all_pass = all(c["pass"] for c in checks) and not skipped
-    payload = {"checks": checks, "skipped": skipped, "pass": all_pass}
+    all_pass = all(c.passed for c in checks) and not skipped
+    payload = {"checks": [_report(c) for c in checks], "skipped": skipped, "pass": all_pass}
     _emit(args, payload, {"model": args.input}, t0)
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 

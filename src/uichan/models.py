@@ -19,7 +19,7 @@ V[y] is stored on its physical legs: ancilla-minor for tensor models
 indexed by the two ancilla indices first.
 
 States may be unit vectors or density matrices throughout; validation is
-two-tier (hard errors for shape mismatches, soft reports for numerical
+two-tier (hard errors for shape mismatches, ``Check`` records for numerical
 defects).
 """
 
@@ -40,15 +40,46 @@ def _worst(values) -> float:
     return float(np.max(list(values)))
 
 
+def _first_worst(values: np.ndarray, least: bool = False) -> tuple[float, tuple[int, ...]]:
+    """The largest (or least) entry and the index where it first occurs; a NaN counts as worst."""
+    arg, extreme = (np.argmin, np.min) if least else (np.argmax, np.max)
+    return float(extreme(values)), tuple(map(int, np.unravel_index(arg(values), values.shape)))
+
+
+def _setting_pair(x: int, y: int) -> str:
+    return f"(setting pair x={x + 1}, y={y + 1}, 1-based labels)"
+
+
 def _unitarity_defects(stack: np.ndarray) -> np.ndarray:
     """Unitarity defect of each matrix of a (k, D, D) stack."""
     return np.array([linalg.unitarity_defect(M) for M in stack])
 
 
-def _require_within(what: str, defects: dict[str, float], t: float) -> None:
-    """Raise unless every defect is at most t; a NaN defect fails."""
-    if not all(v <= t for v in defects.values()):
-        raise InvalidModelError(f"{what} defects {defects} exceed tolerance {t:.3e}")
+@dataclass(frozen=True)
+class Check:
+    """The verdict of one pass/fail check: its worst defect against its tolerance.
+
+    A check passes iff ``defect <= tolerance``, so a NaN defect fails.
+    ``where`` is the owner's one-line text naming the worst entry: its
+    measure, its value and its location, with 1-based labels.  It is None
+    when there is no entry to name.
+    """
+
+    name: str
+    defect: float
+    tolerance: float
+    where: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.defect <= self.tolerance)
+
+
+def _require(what: str, checks, error=InvalidModelError) -> None:
+    """Raise ``error`` naming every defect unless all the checks, which share a tolerance, pass."""
+    if not all(c.passed for c in checks):
+        defects = {c.name: c.defect for c in checks}
+        raise error(f"{what} defects {defects} exceed tolerance {checks[0].tolerance:.3e}")
 
 
 def _freeze_state(state: np.ndarray, dim: int, name: str) -> np.ndarray:
@@ -58,6 +89,7 @@ def _freeze_state(state: np.ndarray, dim: int, name: str) -> np.ndarray:
     return linalg.frozen(s, (), (dim,) * s.ndim, name)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge entries: an inf or NaN defect, failing
 def _state_defect(state: np.ndarray) -> float:
     """Distance of a state from the valid set (unit norm / PSD unit trace)."""
     if state.ndim == 1:
@@ -70,9 +102,7 @@ def _state_defect(state: np.ndarray) -> float:
 def _checked_state(state: np.ndarray, dim: int, name: str) -> np.ndarray:
     """The one check of a state given outside a model: frozen, within tol(dim) or DomainError."""
     s = _freeze_state(state, dim, name)
-    defect, t = _state_defect(s), linalg.tol(dim)
-    if not defect <= t:
-        raise DomainError(f"{name} defects {dict(state=defect)} exceed tolerance {t:.3e}")
+    _require(name, [Check("state", _state_defect(s), linalg.tol(dim))], DomainError)
     return s
 
 
@@ -96,17 +126,18 @@ class PVMFamily:
         object.__setattr__(self, "projectors", linalg.frozen(
             self.projectors, (self.m, self.n), (self.d, self.d), "projector"))
 
-    def defects(self) -> dict[str, float]:
+    @np.errstate(over="ignore", invalid="ignore")  # huge entries: inf or NaN defects, failing
+    def checks(self) -> tuple[Check, Check]:
         """Worst projector defect ||P^2 - P||_F, ||P - P^dag||_F and completeness defect."""
-        P = self.projectors
+        P, t = self.projectors, linalg.tol(self.d)
         idempotency = np.linalg.norm(P @ P - P, axis=(-2, -1))
         hermiticity = np.linalg.norm(P - np.conj(np.swapaxes(P, -1, -2)), axis=(-2, -1))
         completeness = np.linalg.norm(P.sum(axis=1) - np.eye(self.d), axis=(-2, -1))
-        return {"projector": _worst(np.append(idempotency, hermiticity)),
-                "completeness": _worst(completeness)}
+        return (Check("projector", _worst(np.append(idempotency, hermiticity)), t),
+                Check("completeness", _worst(completeness), t))
 
     def check(self) -> None:
-        _require_within("PVM family", self.defects(), linalg.tol(self.d))
+        _require("PVM family", self.checks())
 
 
 class _Model:
@@ -134,15 +165,17 @@ class _Model:
         return np.array([_unitarity_defects(self.U), _unitarity_defects(self.V)])
 
     @cached_property
-    def _defects(self) -> dict[str, float]:
-        return {"unitarity": _worst(self._unitarity_by_matrix), "state": _state_defect(self.state)}
+    def _checks(self) -> tuple[Check, Check]:
+        """The unitarity check, naming the worst stored matrix, and the state check."""
+        worst, (of_v, s) = _first_worst(self._unitarity_by_matrix)
+        where = (f"worst ||M^dag M - I||_F {worst:.3e} at stored {'UV'[of_v]} "
+                 f"(setting {'xy'[of_v]}={s + 1}, 1-based labels)")
+        return (Check("unitarity", worst, self.tolerance, where),
+                Check("state", _state_defect(self.state), self.tolerance))
 
-    def defects(self) -> dict[str, float]:
-        """Worst unitarity defect of the stored U and V, and the state's defect.
-
-        Computed once per model instance; each call returns a fresh dict.
-        """
-        return dict(self._defects)
+    def checks(self) -> tuple[Check, ...]:
+        """The unitarity check of the stored U and V, and the state check; measured once."""
+        return self._checks
 
     @property
     def tolerance(self) -> float:
@@ -150,7 +183,7 @@ class _Model:
         return linalg.tol(max(self.U.shape[-1], self.V.shape[-1]))
 
     def check(self) -> None:
-        _require_within(type(self).__name__, self.defects(), self.tolerance)
+        _require(type(self).__name__, self._checks)
 
 
 @dataclass(frozen=True)
@@ -240,45 +273,29 @@ class CommutingModel(_Model):
         return np.sqrt(norms)
 
     @cached_property
-    def _max_commutator(self) -> float:
-        """Largest entry commutator norm; NaN if any is NaN."""
-        return float(np.max(self._commutator_norms))
-
-    @cached_property
-    def commutation(self) -> CommutationReport:
-        """Entrywise commutation report; see ``validate_commuting``.
+    def commutation(self) -> Check:
+        """The worst entry commutator, read through ``validate_commuting``.
 
         Everything is measured but the commutator of an embedded tensor model, 0 by construction.
         """
-        worst = self._max_commutator
-        uni = self._defects["unitarity"]
-        t = self.tolerance
-        return CommutationReport(
-            max_commutator=worst,
-            max_unitarity_defect=uni,
-            tolerance=t,
-            accepted=bool(worst <= t and uni <= t),
-        )
+        worst, (x, dagger, y, ij, kl) = _first_worst(self._commutator_norms)
+        (i, j), (k, l) = divmod(ij, self.n), divmod(kl, self.n)
+        where = (f"worst ||[{'u_ij^dag' if dagger else 'u_ij'}, v_kl]||_F {worst:.3e} at "
+                 f"(i, j)=({i + 1}, {j + 1}), (k, l)=({k + 1}, {l + 1}) {_setting_pair(x, y)}")
+        return Check("commutation", worst, self.tolerance, where)
+
+    def checks(self) -> tuple[Check, ...]:
+        """The unitarity and state checks of every model, then the commutation check."""
+        return self._checks + (validate_commuting(self),)
 
     def check(self) -> None:
-        """The unitarity and state checks of every model, then the commutation report's verdict."""
         super().check()
-        report = self.commutation
-        if not report.accepted:
+        commutation = self.commutation
+        if not commutation.passed:
             raise InvalidModelError(
-                f"commuting model rejected: max commutator {report.max_commutator:.3e}, "
-                f"max unitarity defect {report.max_unitarity_defect:.3e} "
-                f"(tolerance {report.tolerance:.3e})")
-
-
-@dataclass(frozen=True)
-class CommutationReport:
-    """Worst-case entrywise defects of a commuting model."""
-
-    max_commutator: float
-    max_unitarity_defect: float
-    tolerance: float
-    accepted: bool
+                f"commuting model rejected: max commutator {commutation.defect:.3e}, "
+                f"max unitarity defect {self._checks[0].defect:.3e} "
+                f"(tolerance {commutation.tolerance:.3e})")
 
 
 def _row_and_column(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -307,21 +324,17 @@ def _entry_products(column: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, np
     return P[:h, :w] - P[h:, w:], P[:h, w:] + P[h:, :w]
 
 
-def validate_commuting(model: CommutingModel) -> CommutationReport:
-    """Measure how far the operator entries of U[x] and V[y] are from commuting.
+def validate_commuting(model: CommutingModel) -> Check:
+    """The commutation check of a commuting model, kept for tracers that wrap it.
 
-    Reports the worst Frobenius norm over all pairs of entries of
-    [u_ij, v_kl] and [u_ij^dag, v_kl], plus the worst unitarity defect of
-    the stored matrices.  The model is accepted iff all defects are within
-    tolerance.
-
-    Per (x, y) every product u_ij v_kl comes out of one BLAS matrix product
-    of stacked entry blocks, and every v_kl u_ij out of a second, each
-    formed from real products (see ``_entry_products``).  The report and each
-    entry's norm are cached on the model (``commutation``, ``_commutator_norms``).
-    Only the commutator of a model built by ``embed_tensor_as_commuting``
-    is taken from its construction (exactly 0) instead of measured; a
-    model read from a file or built directly is measured in full.
+    Its defect is the worst ||[u_ij, v_kl]||_F or ||[u_ij^dag, v_kl]||_F,
+    and ``where`` names that entry pair and its setting pair.  Every product
+    comes out of real BLAS products of stacked entry blocks (see
+    ``_entry_products``), and the record is cached on the model.  An
+    embedded tensor model carries an exact 0 from its construction, with
+    no ``where``.  ``CommutingModel.checks`` reads the record through this
+    function, so that a tracer wrapping it (the benchmark's does) times the
+    measurement.
     """
     return model.commutation
 
@@ -344,7 +357,7 @@ def embed_tensor_as_commuting(model: TensorModel) -> CommutingModel:
     # V[y] on (H_B, B') becomes I_dA x v_kl blocks, ancilla-major on (B', H_A, H_B)
     V = np.einsum("ybkcl,ae->ykablec", model.V.reshape(m, dB, n, dB, n), np.eye(dA))
     embedded = CommutingModel(n=n, m=m, d=d, state=model.state, U=U, V=V.reshape(U.shape))
-    object.__setattr__(embedded, "_max_commutator", 0.0)
+    object.__setattr__(embedded, "commutation", Check("commutation", 0.0, embedded.tolerance))
     return embedded
 
 

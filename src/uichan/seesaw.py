@@ -235,9 +235,10 @@ class LiftVerification:
 
     @property
     def ok(self) -> bool:
-        return self.deviation <= 1e-8
+        return self.deviation <= LIFT_PASS_TOL
 
 
+LIFT_PASS_TOL = 1e-8  # LiftVerification.ok: the largest Bell-value deviation that passes
 LIFT_ERROR_TOL = 1e-6  # lift_and_verify raises when the two Bell values differ by more
 
 

@@ -168,11 +168,6 @@ def behaviour_to_json(behaviour: Behaviour) -> dict[str, Any]:
     return {"n": behaviour.n, "m": behaviour.m, "p": behaviour.p.tolist()}
 
 
-def behaviour_from_json(doc: dict[str, Any]) -> Behaviour:
-    p = table_from_json(doc)
-    return Behaviour(n=p.shape[0], m=p.shape[2], p=p)
-
-
 def table_from_json(doc: dict[str, Any]) -> np.ndarray:
     """Nested-real [a][b][x][y] table; shared by behaviours and functionals."""
     try:

@@ -5,8 +5,8 @@ from typing import Sequence
 
 import numpy as np
 
-from uichan import linalg
-from uichan.bell import fourier_coeffs
+from uichan import linalg, serialize
+from uichan.bell import Behaviour, fourier_coeffs
 from uichan.channels import ChannelFamily
 from uichan.errors import DimensionMismatchError
 from uichan.models import (CommutingModel, PVMFamily, TensorModel, _fourier_unitaries,
@@ -25,6 +25,12 @@ def permute_registers(M: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -
         raise DimensionMismatchError(f"perm {p} is not a bijection on {r} registers")
     axes = list(p) + [r + i for i in p]
     return A.reshape(ds + ds).transpose(axes).reshape(A.shape)
+
+
+def behaviour_from_json(doc: dict) -> Behaviour:
+    """A behaviour document read back, through the reader that functionals share."""
+    p = serialize.table_from_json(doc)
+    return Behaviour(n=p.shape[0], m=p.shape[2], p=p)
 
 
 def coupling_unitary_by_kron(model: TensorModel | CommutingModel, x: int, y: int) -> np.ndarray:

@@ -302,7 +302,8 @@ class TestBehaviourType:
         p = np.full((2, 2, 1, 1), 0.25)
         Behaviour(n=2, m=1, p=p).check()
         bad = Behaviour(n=2, m=1, p=p * 0.5)
-        assert bad.defects()["normalization"] > 0.4
+        negativity, normalization = bad.checks()
+        assert negativity.passed and normalization.defect > 0.4 and not normalization.passed
         with pytest.raises(InvalidModelError):
             bad.check()
 

@@ -172,7 +172,7 @@ class TestKronFreeForms:
         skew = (A - linalg.dag(A)) / np.linalg.norm(A - linalg.dag(A))
         tm = dataclasses.replace(tm, state=tm.density() + 1e-10 * skew)
         model = tm if kind == "tensor" else embed_tensor_as_commuting(tm)
-        assert 1e-10 < model.defects()["state"] <= linalg.tol(6)
+        assert 1e-10 < model.checks()[1].defect <= linalg.tol(6)
         assert family_max_diff(channel_direct(model),
                                channel_from_moments(moment_table(model))) <= 1e-14
 
@@ -309,6 +309,33 @@ class TestChoiAndAudit:
                 tp = max(tp, float(np.max(np.abs(traces - np.eye(n2)))))
             rep = cptp_report(fam)
             assert (rep.min_choi_eigenvalue, rep.trace_defect) == (low, tp)
+
+    def test_non_cp_member_is_named(self):
+        # negating one member of a valid family makes it neither CP nor TP; both records name it
+        fam = channel_direct(random_model("tensor", 2, 2, 2, 2, seed=5))
+        supers = np.array(fam.supers)
+        supers[0, 1] *= -1
+        rep = cptp_report(ChannelFamily(n=2, m=2, supers=supers))
+        assert not rep.accepted and not rep.choi_psd.passed and not rep.trace_preserving.passed
+        assert rep.choi_psd.defect == -rep.min_choi_eigenvalue > 0.1
+        assert rep.choi_psd.tolerance == channels.CP_TOL
+        assert rep.choi_psd.where == (f"least Choi eigenvalue {rep.min_choi_eigenvalue:.3e} "
+                                      "(setting pair x=1, y=2, 1-based labels)")
+        assert abs(rep.trace_preserving.defect - 2.0) <= 1e-12
+        assert rep.trace_preserving.where.endswith("(setting pair x=1, y=2, 1-based labels)")
+        # the valid family passes, and its records still name its worst members
+        rep = cptp_report(fam)
+        assert rep.accepted and rep.choi_psd.where.startswith("least Choi eigenvalue ")
+
+    def test_trace_leak_names_its_input_entry(self):
+        # Tr L(E_ab) = sum_u S[(u,u),(a,b)]: an entry at row (u, u) = (1, 1) and column
+        # (a, b) = (1, 3), 1-based, of the (2, 1) member makes Tr L(E_13) = 0.25
+        supers = np.tile(np.eye(16), (2, 2, 1, 1))  # the n = 2, m = 2 identity family
+        supers[1, 0, 0, 2] = 0.25
+        rep = cptp_report(ChannelFamily(n=2, m=2, supers=supers))
+        assert rep.trace_preserving.where == (
+            "worst |Tr L(E_ab) - delta_ab| 2.500e-01 at (a, b)=(1, 3) "
+            "(setting pair x=2, y=1, 1-based labels)")
 
     def test_random_models_pass_audit(self):
         for seed in range(8):
@@ -451,4 +478,4 @@ def test_no_public_callable_takes_a_tolerance():
         assert params == [], fn.__qualname__
     assert list(inspect.signature(channel_from_moments).parameters) == ["table"]
     assert [f.name for f in dataclasses.fields(channels.CPTPReport)] == [
-        "min_choi_eigenvalue", "trace_defect"]
+        "min_choi_eigenvalue", "trace_defect", "choi_psd", "trace_preserving"]

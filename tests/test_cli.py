@@ -18,6 +18,8 @@ from uichan.cli import MAX_JSON_INDENT, main
 from uichan.models import (CommutingModel, TensorModel, embed_tensor_as_commuting,
                            random_tensor_model)
 
+from oracles import behaviour_from_json
+
 CHSH_OPTIMUM = (2 + np.sqrt(2)) / 4
 
 
@@ -246,7 +248,7 @@ class TestGenAndVerify:
         # n = 2, dA = 1, dB = 4: the tolerance is tol(8) of the 8 x 8 V, not tol(n dA) = tol(2)
         tm = random_tensor_model(2, 1, 1, 4, seed=3)
         tm = TensorModel(n=2, m=1, dA=1, dB=4, state=tm.state, U=tm.U, V=tm.V * (1 + 1e-10))
-        assert linalg.tol(2) < tm.defects()["unitarity"] <= linalg.tol(8)
+        assert linalg.tol(2) < tm.checks()[0].defect <= linalg.tol(8)
         tm.check()
         path, report = tmp_path / "model.json", tmp_path / "report.json"
         path.write_text(json.dumps(serialize.model_to_json(tm)))
@@ -255,6 +257,33 @@ class TestGenAndVerify:
         unitarity = next(c for c in read_payload(report)["checks"] if c["name"] == "unitarity")
         assert unitarity["pass"] and unitarity["tolerance"] == tm.tolerance == linalg.tol(8)
         assert main(["channel", "-i", str(path), "-o", str(tmp_path / "channel.json")]) == 0
+
+    def test_tol_is_applied_before_the_channel_gate(self, model_path, tmp_path, capsys):
+        # no model defect is within 1e-30, so the channel checks are skipped, not run
+        report = tmp_path / "report.json"
+        assert main(["verify", "-i", str(model_path), "--tol", "1e-30", "-o", str(report)]) == 1
+        payload = read_payload(report)
+        assert payload["skipped"] == ["dual_formula", "choi_psd", "trace_preserving",
+                                      "embedding_invariance"]
+        assert [c["name"] for c in payload["checks"]] == ["unitarity", "state"]
+        assert all(c["tolerance"] == 1e-30 for c in payload["checks"])
+        assert capsys.readouterr().err.startswith("verify: unitarity failed: worst ||M^dag M")
+
+    def test_loose_tol_does_not_excuse_the_model_from_its_own_check(self, tmp_path, capsys):
+        # --tol 1 lets the model checks pass, but the channel routes check the model at its own
+        # tolerance first: a U off by 1e-3 is an input error (2), not a failed check (1)
+        path, report = tmp_path / "model.json", tmp_path / "report.json"
+        assert main(["gen", "--seed", "3", "-o", str(path)]) == 0
+        doc = read_payload(path)
+        doc["U"][0]["re"][1] += 1e-3
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "-i", str(path), "--tol", "1", "-o", str(report)]) == 2
+        model = serialize.model_from_json(doc)
+        defects = {c.name: c.defect for c in model.checks()}
+        assert capsys.readouterr().err == (f"error: TensorModel defects {defects} exceed "
+                                           f"tolerance {model.tolerance:.3e}\n")
+        assert not report.exists()
 
     @pytest.mark.parametrize("flaw", ["not_utf8", "deeply_nested"])
     @pytest.mark.parametrize("argv", [["verify", "-i"], ["channel", "-i"], ["bell", "-i"],
@@ -377,6 +406,48 @@ class TestVerifyNamesWhereARouteCheckFailed:
         assert len(lines) == 1 and lines[0].startswith("verify: embedding_invariance failed")
         assert "supers[0, 1][7, 2]" in lines[0] and "x=1, y=2" in lines[0]
 
+    def test_trace_preserving_on_a_model_its_own_check_accepts(self, tmp_path, capsys):
+        # V scaled by 1 + 1e-10 stays within tol(8), but each trace grows by 2e-10 > TP_TOL
+        path = tmp_path / "model.json"
+        assert main(["gen", "--n", "2", "--m", "1", "--dA", "1", "--dB", "4",
+                     "-o", str(path)]) == 0
+        doc = read_payload(path)
+        for matrix in doc["V"]:
+            matrix["re"] = [v * (1 + 1e-10) for v in matrix["re"]]
+            matrix["im"] = [v * (1 + 1e-10) for v in matrix["im"]]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc, checks, err = self.run(path, tmp_path, capsys)
+        assert rc == 1 and [name for name, c in checks.items() if not c["pass"]] == [
+            "trace_preserving"]
+        # the four diagonal traces part in their last bits; the first largest is named
+        S = channels.channel_direct(serialize.model_from_json(doc)).supers[0, 0]
+        traces = np.array([np.trace(S[:, col].reshape(4, 4)) for col in range(16)])
+        a, b = divmod(int(np.argmax(np.abs(traces - np.eye(4).ravel()))), 4)
+        assert err == (f"verify: trace_preserving failed: worst |Tr L(E_ab) - delta_ab| 2.000e-10 "
+                       f"at (a, b)=({a + 1}, {b + 1}) (setting pair x=1, y=1, 1-based labels)\n")
+        assert a == b
+
+    def test_choi_psd_and_trace_preserving(self, model_path, tmp_path, capsys, monkeypatch):
+        # a negated member is neither CP nor TP: each failed check gets one line, in payload order
+        direct = channels.channel_direct
+
+        def negated(model, **kwargs):
+            supers = np.array(direct(model, **kwargs).supers)
+            supers[1, 0] *= -1
+            return channels.ChannelFamily(n=model.n, m=model.m, supers=supers)
+
+        monkeypatch.setattr(channels, "channel_direct", negated)
+        rc, checks, err = self.run(model_path, tmp_path, capsys)
+        lines = err.splitlines()
+        assert rc == 1 and [line.split(" failed: ")[0] for line in lines] == [
+            "verify: dual_formula", "verify: choi_psd", "verify: trace_preserving"]
+        assert lines[1].startswith("verify: choi_psd failed: least Choi eigenvalue -")
+        assert f"{-checks['choi_psd']['defect']:.3e} (setting pair x=2, y=1," in lines[1]
+        assert lines[2].startswith("verify: trace_preserving failed: worst |Tr L(E_ab) - "
+                                   "delta_ab| 2.000e+00 at (a, b)=(")
+        assert lines[2].endswith("(setting pair x=2, y=1, 1-based labels)")
+
     def test_commutation(self, tmp_path, capsys):
         path = tmp_path / "cm.json"
         assert main(["gen", "--kind", "commuting", "--n", "2", "--m", "2", "--dA", "2",
@@ -421,8 +492,6 @@ class TestVerifyNamesWhereARouteCheckFailed:
         assert main(["gen", "--m", "3", "--seed", "3", "-o", str(path)]) == 0
         defects = np.array([[0.0, 5.0, 0.0], [np.nan, 0.0, np.nan]])
         monkeypatch.setattr(TensorModel, "_unitarity_by_matrix", property(lambda self: defects))
-        monkeypatch.setattr(TensorModel, "_defects", property(
-            lambda self: {"unitarity": np.nan, "state": 0.0}))
         rc, checks, err = self.run(path, tmp_path, capsys)
         assert rc == 1 and checks["unitarity"]["defect"] is None
         assert err == ("verify: unitarity failed: worst ||M^dag M - I||_F nan at stored V "
@@ -522,7 +591,7 @@ class TestBellCommands:
         chan, beh = tmp_path / "chan.json", tmp_path / "beh.json"
         assert main(["channel", "-i", str(model_path), "-o", str(chan)]) == 0
         assert main(["bell", "-i", str(chan), "-o", str(beh)]) == 0
-        b = serialize.behaviour_from_json(read_payload(beh))
+        b = behaviour_from_json(read_payload(beh))
         assert np.max(np.abs(b.p.sum(axis=(0, 1)) - 1.0)) <= 1e-10
 
     def test_bell_direct_requires_input(self):
@@ -622,6 +691,21 @@ class TestPipelineAndSeesaw:
         assert docs[0]["payload"] == docs[1]["payload"]
         assert (docs[0]["manifest"]["payload_sha256"] == docs[1]["manifest"]["payload_sha256"]
                 == sha256(json.dumps(docs[0]["payload"], indent=2)))
+
+    def test_manifest_env_records_uichan_max_n(self, model_path, tmp_path, monkeypatch):
+        # the guard override changes which models a run accepts, so the manifest names it
+        docs = []
+        for max_n in (None, "5"):
+            if max_n is None:
+                monkeypatch.delenv("UICHAN_MAX_N", raising=False)
+            else:
+                monkeypatch.setenv("UICHAN_MAX_N", max_n)
+            out = tmp_path / f"channel{max_n}.json"
+            assert main(["channel", "-i", str(model_path), "-o", str(out)]) == 0
+            docs.append(json.loads(out.read_text()))
+        assert [doc["manifest"]["env"]["uichan_max_n"] for doc in docs] == [None, "5"]
+        assert docs[0]["payload"] == docs[1]["payload"]
+        assert docs[0]["manifest"]["payload_sha256"] == docs[1]["manifest"]["payload_sha256"]
 
 
 def test_python_m_uichan_help():

@@ -2,9 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_equal
+from numpy.testing import assert_allclose
 
-from uichan import linalg
+from uichan import linalg, models
 from uichan.errors import DimensionMismatchError, DomainError, InvalidModelError
 from uichan.models import (CommutingModel, PVMFamily, TensorModel, _fourier_unitaries,
                            diagonal_fourier_lift, embed_tensor_as_commuting, random_model,
@@ -24,8 +24,9 @@ def computational_pvm(d, m):
 class TestPVMFamily:
     def test_valid(self):
         fam = computational_pvm(2, 2)
-        d = fam.defects()
-        assert d["projector"] == 0.0 and d["completeness"] == 0.0
+        projector, completeness = fam.checks()
+        assert (projector.name, completeness.name) == ("projector", "completeness")
+        assert projector.defect == 0.0 and completeness.defect == 0.0
         fam.check()
 
     def test_random_families_valid(self):
@@ -54,14 +55,14 @@ class TestPVMFamily:
     def test_numerical_defect_is_soft(self):
         bad = PVMFamily(d=2, m=1, n=2,
                         projectors=((np.diag([1.0, 0.1]), np.diag([0.0, 0.9])),))
-        assert bad.defects()["projector"] > 0.05
+        assert bad.checks()[0].defect > 0.05
         with pytest.raises(InvalidModelError):
             bad.check()
 
     def test_nan_defect_fails_check(self):
         fam = PVMFamily(d=2, m=1, n=2, projectors=((np.eye(2), OVERFLOWING),))
         with np.errstate(all="ignore"):
-            assert np.isnan(fam.defects()["projector"])
+            assert np.isnan(fam.checks()[0].defect) and not fam.checks()[0].passed
             with pytest.raises(InvalidModelError):
                 fam.check()
 
@@ -109,10 +110,11 @@ class TestModels:
         cm = CommutingModel(n=2, m=1, d=1, state=np.ones(1), U=(np.eye(2),), V=(OVERFLOWING,))
         with np.errstate(all="ignore"):
             for model in (tm, cm):
-                assert np.isnan(model.defects()["unitarity"])
+                assert np.isnan(model.checks()[0].defect) and not model.checks()[0].passed
                 with pytest.raises(InvalidModelError):
                     model.check()
-            assert not validate_commuting(cm).accepted
+            # d = 1: the scalar entries commute, so only the unitarity check fails
+            assert [c.passed for c in cm.checks()] == [False, True, True]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, bad):
@@ -174,11 +176,11 @@ class TestFamilyArrays:
         U[1, 0, 0] += 0.01
         broken = TensorModel(n=2, m=2, dA=2, dB=2, state=tm.state, U=U, V=tm.V)
         per_matrix = [linalg.unitarity_defect(M) for M in (*broken.U, *broken.V)]
-        assert broken.defects()["unitarity"] == max(per_matrix) > 0.005
+        assert broken.checks()[0].defect == max(per_matrix) > 0.005
+        assert broken.checks()[0].where.endswith("at stored U (setting x=2, 1-based labels)")
         cm = embed_tensor_as_commuting(broken)
         per_matrix = [linalg.unitarity_defect(M) for M in (*cm.U, *cm.V)]
-        assert cm.defects()["unitarity"] == max(per_matrix)
-        assert validate_commuting(cm).max_unitarity_defect == max(per_matrix)
+        assert cm.checks()[0].defect == max(per_matrix)
 
 
 def entrywise_commutator_reference(model):
@@ -203,8 +205,8 @@ def measured_like_embedding(cm):
     """
     fresh = CommutingModel(n=cm.n, m=cm.m, d=cm.d, state=cm.state, U=cm.U, V=cm.V)
     rep, measured = validate_commuting(cm), validate_commuting(fresh)
-    assert rep.max_commutator == 0.0 and measured.max_commutator == 0.0
-    assert_equal(dataclasses.astuple(measured), dataclasses.astuple(rep))  # NaN matches NaN
+    assert rep.defect == 0.0 and measured.defect == 0.0 and rep.where is None
+    assert (measured.name, measured.tolerance, measured.passed) == (rep.name, rep.tolerance, True)
     return rep
 
 
@@ -216,7 +218,7 @@ class TestValidateCommuting:
         cm = CommutingModel(n=n, m=2, d=d, state=linalg.haar_state_vector(rng, d),
                             U=tuple(linalg.haar_unitary_from(rng, n * d) for _ in range(2)),
                             V=tuple(linalg.haar_unitary_from(rng, n * d) for _ in range(2)))
-        got = validate_commuting(cm).max_commutator
+        got = validate_commuting(cm).defect
         ref = entrywise_commutator_reference(cm)
         assert abs(got - ref) <= 1e-12 * ref
         if d > 1:
@@ -227,7 +229,7 @@ class TestValidateCommuting:
         for i, (n, m, dA, dB) in enumerate(grid):
             state = "vector" if i % 2 == 0 else "density"
             tm = random_tensor_model(n, m, dA, dB, state=state, seed=700 + i)
-            assert measured_like_embedding(embed_tensor_as_commuting(tm)).max_commutator == 0.0
+            assert measured_like_embedding(embed_tensor_as_commuting(tm)).defect == 0.0
 
     def test_report_cached_per_instance(self):
         cm = random_model("commuting", 2, 2, 2, 2, seed=3)
@@ -249,29 +251,41 @@ class TestValidateCommuting:
 
     def test_defects_cached_and_returned_fresh(self):
         cm = random_model("commuting", 2, 2, 2, 3, state="density", seed=4)
-        first = cm.defects()
-        first["unitarity"] = 1.0  # must not reach the cache
-        assert cm.defects() is not first and cm.defects()["unitarity"] < 1e-12
-        assert validate_commuting(cm).max_unitarity_defect == cm.defects()["unitarity"]
+        first = cm.checks()
+        with pytest.raises(dataclasses.FrozenInstanceError):  # a record cannot reach the cache
+            first[0].defect = 1.0
+        assert cm.checks() == first and first[0].defect < 1e-12
+        assert cm.checks()[-1] is validate_commuting(cm)
+        assert [c.name for c in first] == ["unitarity", "state", "commutation"]
+
+    def test_checks_read_commutation_through_validate_commuting(self, monkeypatch):
+        # a tracer that wraps validate_commuting must see the one measurement verify makes
+        cm = random_model("commuting", 2, 2, 2, 2, seed=3)
+        calls = []
+        original = models.validate_commuting
+        monkeypatch.setattr(models, "validate_commuting", lambda m: calls.append(m) or original(m))
+        assert cm.checks()[-1] is original(cm) and calls == [cm]
 
     def test_identity_model(self):
         cm = CommutingModel(n=2, m=1, d=3, state=np.eye(3) / 3,
                             U=(np.eye(6),), V=(np.eye(6),))
         rep = validate_commuting(cm)
-        assert rep.max_commutator == 0.0
-        assert rep.max_unitarity_defect == 0.0
-        assert rep.accepted
+        assert rep.defect == 0.0
+        assert cm.checks()[0].defect == 0.0
+        assert rep.passed
 
     def test_embedded_tensor_commutes(self):
         tm = random_tensor_model(2, 2, 2, 3, seed=4)
         rep = measured_like_embedding(embed_tensor_as_commuting(tm))
-        assert rep.max_commutator <= 1e-12
-        assert rep.accepted
+        assert rep.defect <= 1e-12
+        assert rep.passed
         # the stored zero does not excuse overflowing entries: their unitarity defect is NaN
         tm = TensorModel(n=2, m=1, dA=1, dB=1, state=np.ones(1), U=(np.eye(2),), V=(OVERFLOWING,))
         with np.errstate(all="ignore"):
-            rep = measured_like_embedding(embed_tensor_as_commuting(tm))
-        assert np.isnan(rep.max_unitarity_defect) and rep.accepted is False
+            cm = embed_tensor_as_commuting(tm)
+            rep = measured_like_embedding(cm)
+            unitarity = cm.checks()[0]
+        assert rep.passed and np.isnan(unitarity.defect) and unitarity.passed is False
 
     def test_unrelated_unitaries_rejected(self):
         rng = linalg.rng_from_seed(17)
@@ -280,8 +294,8 @@ class TestValidateCommuting:
                             U=(linalg.haar_unitary_from(rng, 2 * d),),
                             V=(linalg.haar_unitary_from(rng, 2 * d),))
         rep = validate_commuting(cm)
-        assert rep.max_commutator > 0.05
-        assert not rep.accepted
+        assert rep.defect > 0.05
+        assert not rep.passed
 
     def test_check_rejects_haar_v_and_so_do_both_routes(self):
         from uichan.channels import channel_direct, moment_table
@@ -289,7 +303,7 @@ class TestValidateCommuting:
         cm.check()
         haar = linalg.haar_unitary_from(linalg.rng_from_seed(19), 2 * cm.d)
         bad = CommutingModel(n=2, m=2, d=cm.d, state=cm.state, U=cm.U, V=(haar, cm.V[1]))
-        assert bad.defects()["unitarity"] <= bad.tolerance  # unitary: only commutation fails
+        assert bad.checks()[0].passed  # unitary: only commutation fails
         for call in (CommutingModel.check, channel_direct, moment_table):
             with pytest.raises(InvalidModelError, match="commuting model rejected"):
                 call(bad)
@@ -310,7 +324,7 @@ class TestEmbedding:
         tm = TensorModel(n=2, m=1, dA=2, dB=2, state=linalg.wishart_density(rng, 4),
                          U=(swap,), V=(swap,))
         rep = measured_like_embedding(embed_tensor_as_commuting(tm))
-        assert rep.max_commutator <= 1e-12
+        assert rep.defect <= 1e-12
 
     def test_embedded_blocks(self):
         tm = random_tensor_model(2, 1, 2, 3, seed=10)
@@ -420,7 +434,7 @@ class TestRandomModel:
         assert isinstance(tm, TensorModel)
         cm = random_model("commuting", 2, 2, 2, 2, seed=1)
         assert isinstance(cm, CommutingModel)
-        assert validate_commuting(cm).accepted
+        assert validate_commuting(cm).passed
 
     def test_unknown_kind(self):
         with pytest.raises(DimensionMismatchError):

