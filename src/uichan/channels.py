@@ -12,12 +12,16 @@ ancilla pair A'B'.  This module computes that family
   is applied after, and the sandwich is conj(X_left) X_right^T; and
 * from the moment table of the operator entries,
   ``T[i,j,l,k,p,r,t,s] = phi(u^x_ij (u^x_lk)* x v^y_pr (v^y_ts)*)``,
-  via ``L(rho)[(k,s),(j,r)] = sum_{i,l,p,t} T[i,j,l,k,p,r,t,s] rho[(l,t),(i,p)]``,
-  contracting each party's Gram products of operator entries with sigma.
+  via ``L(rho)[(k,s),(j,r)] = sum_{i,l,p,t} T[i,j,l,k,p,r,t,s] rho[(l,t),(i,p)]``.
+  For a vector state psi the table is the inner products of words of
+  entries applied to psi, <u_lk u_ij^dag psi, v_pr v_ts^dag psi>; for a
+  density state each party's Gram products of operator entries are
+  contracted with sigma.
 
 Agreement of the two routes is the toolkit's central cross-check, so they
 share no intermediate: the direct route uses only the factor-contracted
-U and V, and the moment route only Gram products contracted with sigma.
+U and V, and the moment route only words of entries applied to psi or
+Gram products contracted with sigma.
 
 Vectorization is row-major and frozen: a matrix entry at row (k, s) and
 column (j, r) of the composite ancilla space sits at flat vector index
@@ -185,7 +189,7 @@ def _gram(blocks: np.ndarray) -> list[np.ndarray]:
 
     ``blocks`` is an (m, n, n, d, d) stack of operator entries; one G per
     setting, from one BLAS product F F^dag with F the blocks as an
-    (n^2 d, d) matrix.  Only the moment route uses it.
+    (n^2 d, d) matrix.  Only the moment route uses it, for density states.
     """
     n, d = blocks.shape[1], blocks.shape[-1]
     out = []
@@ -195,18 +199,47 @@ def _gram(blocks: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def _psi_words(blocks: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Words w[x,i,j,l,k] = b_lk b_ij^dag psi of each setting's entries b, as (m, n, n, n, n, d, r).
+
+    ``blocks`` is an (m, n, n, d, d) stack of operator entries acting on the
+    rows of the (d, r) matrix ``psi``.  Two BLAS products per setting: every
+    b_ij^dag psi, then every b_lk against all of them.  Only the moment route
+    uses it, for vector states.
+    """
+    m, n, _, d, _ = blocks.shape
+    r = psi.shape[1]
+    half = np.conj(blocks.transpose(0, 1, 2, 4, 3).reshape(m, n * n * d, d) @ np.conj(psi))
+    half = half.reshape(m, n * n, d, r).transpose(0, 2, 1, 3).reshape(m, d, n * n * r)
+    words = blocks.reshape(m, n * n * d, d) @ half  # rows (l, k, c), columns (i, j, r)
+    return words.reshape(m, n, n, d, n, n, r).transpose(0, 4, 5, 1, 2, 3, 6)
+
+
 def moment_table(model: TensorModel | CommutingModel, max_n: int = DEFAULT_MAX_N) -> MomentTable:
     """Moments of entry products of the coupling unitaries against the model state.
 
-    For tensor models the two legs form a genuine tensor product across
-    H_A / H_B before the state is applied; for commuting models they
-    multiply inside the one algebra.  Each party's Gram products are formed
-    once per setting (``_gram``), and the state is contracted into Alice's
-    once per setting.  This route never forms W.
+    For a vector state psi, T[x,y] = <u_lk u_ij^dag psi, v_pr v_ts^dag psi>:
+    words of entries applied to psi (``_psi_words``), then one matrix
+    product over all setting pairs.  In a tensor model psi is a (dA, dB)
+    matrix, Alice's entries act on its rows and Bob's on its columns.  For a
+    density state each party's Gram products are formed once per setting
+    (``_gram``), and sigma is contracted into Alice's once per setting; for
+    tensor models the two legs form a genuine tensor product across H_A /
+    H_B before the state is applied, for commuting models they multiply
+    inside the one algebra.  This route never forms W.
     """
     model.check()
     n, m = model.n, model.m
     _guard_n(n, max_n)
+    if model.state_is_vector:
+        tensor = isinstance(model, TensorModel)
+        psi = model.state.reshape(model.dA, model.dB) if tensor else model.state[:, None]
+        alice = _psi_words(model.u_blocks(), psi)
+        bob = _psi_words(model.v_blocks(), psi.T if tensor else psi).transpose(0, 3, 4, 1, 2, 6, 5)
+        D, k = len(model.state), m * n ** 4
+        T = np.conj(alice.reshape(k, D)) @ bob.reshape(k, D).T  # axes (x,i,j,l,k), (y,p,r,t,s)
+        tables = T.reshape(((m,) + (n,) * 4) * 2).transpose(0, 5, 1, 2, 3, 4, 6, 7, 8, 9)
+        return MomentTable(n=n, m=m, tables=tables)
     # the state goes into Alice's Gram products once per setting, then meets Bob's per pair
     sigma = model.density()
     if isinstance(model, TensorModel):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -342,7 +343,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help=f"JSON indent for outputs, at most {MAX_JSON_INDENT}; negative for compact")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="uichan",
         description="Unitary-induced channel families: generation, audits, "

@@ -254,22 +254,28 @@ class CommutingModel(_Model):
         """(m, 2, m, n^2, n^2) array of every entry commutator norm, measured once.
 
         ``[x, dagger, y, i n + j, k n + l]`` is ||[u_ij, v_kl]||_F, or
-        ||[u_ij^dag, v_kl]||_F when ``dagger``, for U[x] and V[y].
+        ||[u_ij^dag, v_kl]||_F when ``dagger``, for U[x] and V[y].  The two
+        products of a block land in buffers made once; the commutator, its
+        square and its sum are formed in the first one.
         """
         m, n2, d = self.m, self.n ** 2, self.d
-        swap = (2, 1, 0, 3)
+        h = n2 * d
         stacked_v = [_row_and_column(self.v_blocks(y)) for y in range(m)]
+        uv, vu = np.empty((2, 2 * h, 2 * h))
+        # [re | im] top halves as (ij, row, re/im, kl, column); vu's holds kl and ij swapped
+        commutator = uv[:h].reshape(n2, d, 2, n2, d)
+        vu_swapped = vu[:h].reshape(n2, d, 2, n2, d).transpose(3, 1, 2, 0, 4)
         norms = np.empty((m, 2, m, n2, n2))
         for x in range(m):
             ub = self.u_blocks(x)
             for dagger, blocks in enumerate((ub, np.conj(np.swapaxes(ub, -1, -2)))):
                 u_row, u_col = _row_and_column(blocks)
                 for y, (v_row, v_col) in enumerate(stacked_v):
-                    uv_re, uv_im = _entry_products(u_col, v_row)  # block (ij, kl) = u_ij v_kl
-                    vu_re, vu_im = _entry_products(v_col, u_row)  # block (kl, ij) = v_kl u_ij
-                    c_re = uv_re.reshape(n2, d, n2, d) - vu_re.reshape(n2, d, n2, d).transpose(swap)
-                    c_im = uv_im.reshape(n2, d, n2, d) - vu_im.reshape(n2, d, n2, d).transpose(swap)
-                    norms[x, dagger, y] = np.sum(c_re ** 2 + c_im ** 2, axis=(1, 3))
+                    _entry_products(u_col, v_row, uv)  # block (ij, kl) = u_ij v_kl
+                    _entry_products(v_col, u_row, vu)  # block (kl, ij) = v_kl u_ij
+                    np.subtract(commutator, vu_swapped, out=commutator)
+                    np.square(commutator, out=commutator)
+                    np.sum(commutator, axis=(1, 2, 4), out=norms[x, dagger, y])
         return np.sqrt(norms)
 
     @cached_property
@@ -310,18 +316,21 @@ def _row_and_column(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.hstack([row.real, row.imag]), np.vstack([column.real, column.imag])
 
 
-def _entry_products(column: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of every block product (column block) @ (row block).
+def _entry_products(column: np.ndarray, row: np.ndarray, out: np.ndarray) -> None:
+    """Every block product (column block) @ (row block), written into the top half of ``out``.
 
-    One real product yields Ar@Br, Ar@Bi, Ai@Br and Ai@Bi at once; each
-    complex entry is then Ar@Br - Ai@Bi + i(Ar@Bi + Ai@Br).  Built this
-    way a@b and b@a round identically whenever each entry of the product
-    has a single nonzero term, as for the entries of an embedded tensor
-    model, so those commutators come out exactly zero.
+    One real product yields Ar@Br, Ar@Bi, Ai@Br and Ai@Bi at once, in the
+    quadrants of ``out``; each complex entry is then Ar@Br - Ai@Bi +
+    i(Ar@Bi + Ai@Br), with the real parts left in the top left quadrant and
+    the imaginary parts in the top right.  Built this way a@b and b@a round
+    identically whenever each entry of the product has a single nonzero
+    term, as for the entries of an embedded tensor model, so those
+    commutators come out exactly zero.
     """
     h, w = column.shape[0] // 2, row.shape[1] // 2
-    P = column @ row
-    return P[:h, :w] - P[h:, w:], P[:h, w:] + P[h:, :w]
+    np.matmul(column, row, out=out)
+    np.subtract(out[:h, :w], out[h:, w:], out=out[:h, :w])
+    np.add(out[:h, w:], out[h:, :w], out=out[:h, w:])
 
 
 def validate_commuting(model: CommutingModel) -> Check:
@@ -347,9 +356,11 @@ def embed_tensor_as_commuting(model: TensorModel) -> CommutingModel:
     is unchanged and the induced channel family is preserved exactly.
 
     The entries commute by construction, so the returned model carries a
-    worst commutator of exactly 0 instead of measuring it.  Its unitarity
-    and state defects are still measured, so the embedding of a
-    non-unitary or overflowing model is still rejected.
+    worst commutator of exactly 0 instead of measuring it.  It also carries
+    the source model's unitarity and state records: U x I and I x V are
+    unitary exactly when U and V are, and the state is the same, so the
+    embedding of a non-unitary or overflowing model is still rejected, and
+    that of a model its own checks accept is not.
     """
     n, m, dA, dB = model.n, model.m, model.dA, model.dB
     d = dA * dB
@@ -357,6 +368,7 @@ def embed_tensor_as_commuting(model: TensorModel) -> CommutingModel:
     # V[y] on (H_B, B') becomes I_dA x v_kl blocks, ancilla-major on (B', H_A, H_B)
     V = np.einsum("ybkcl,ae->ykablec", model.V.reshape(m, dB, n, dB, n), np.eye(dA))
     embedded = CommutingModel(n=n, m=m, d=d, state=model.state, U=U, V=V.reshape(U.shape))
+    object.__setattr__(embedded, "_checks", model._checks)
     object.__setattr__(embedded, "commutation", Check("commutation", 0.0, embedded.tolerance))
     return embedded
 

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,11 @@ from oracles import coupling_unitary_by_kron, permute_registers, unitaries_from_
 
 #: the acceptance grid: (n, m, dA, dB)
 GRID = [(n, m, dA, dB) for n in (2, 3) for m in (1, 2) for dA in (2, 3) for dB in (2, 3)]
+#: the 89 shapes of the payload comparison set: n = 1-3 and m = 1-3 with nine (dA, dB),
+#: plus n = 4 at m <= 2 with dA dB <= 4
+PAYLOAD_SHAPES = [(n, m, dA, dB) for n in (1, 2, 3) for m in (1, 2, 3) for dA, dB in
+                  ((1, 1), (2, 3), (3, 2), (1, 4), (4, 1), (2, 2), (4, 4), (3, 3), (2, 4))]
+PAYLOAD_SHAPES += [(4, m, dA, dB) for m in (1, 2) for dA, dB in ((1, 1), (1, 4), (4, 1), (2, 2))]
 
 
 def identity_model(n, dA, dB, seed=0):
@@ -187,10 +193,45 @@ class TestKronFreeForms:
 
         with monkeypatch.context() as mp:
             mp.setattr(channels, "_gram", forbidden)
+            mp.setattr(channels, "_psi_words", forbidden)
             assert np.array_equal(channel_direct(model).supers, direct.supers)
         with monkeypatch.context() as mp:
             mp.setattr(channels, "_factor_contracted", forbidden)
             assert np.array_equal(moment_table(model).tables, table.tables)
+
+
+class TestPsiFirstMoments:
+    @pytest.mark.parametrize("kind", ["tensor", "commuting"])
+    def test_vector_table_matches_gram_route_on_the_density_state(self, kind):
+        # psi-first words on a vector state against the Gram route on psi psi^dag
+        for i, shape in enumerate(PAYLOAD_SHAPES):
+            model = random_model(kind, *shape, state="vector", seed=950 + i)
+            dense = dataclasses.replace(model, state=model.density())
+            diff = np.max(np.abs(moment_table(model).tables - moment_table(dense).tables))
+            assert diff <= 1e-14, shape
+
+    @pytest.mark.parametrize("kind", ["tensor", "commuting"])
+    def test_words_neither_contract_factors_nor_form_w(self, kind, monkeypatch):
+        # at n = 3, d = 64 the coupling unitary W is 576 x 576; the route stays below a
+        # quarter of its size, and the direct route's helper is never called
+        n, dA, dB = 3, 8, 8
+        model = random_model(kind, n, 1, dA, dB, seed=960)
+        model.check()
+        expected = moment_table(model).tables
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the direct route's helper was called")
+
+        monkeypatch.setattr(channels, "_factor_contracted", forbidden)
+        monkeypatch.setattr(channels, "_gram", forbidden)
+        tracemalloc.start()
+        try:
+            tables = moment_table(model).tables
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(tables, expected)
+        assert peak < (n * dA * dB * n) ** 2 * 16 / 4
 
 
 class TestMomentTable:

@@ -108,6 +108,17 @@ class TestGenAndVerify:
         assert main(["verify", "-i", str(haar), "-o", str(report)]) == 1
         assert failed_checks(report) == ["commutation"]
 
+    @pytest.mark.parametrize("n, m, dA, dB", [(3, 3, 3, 2), (2, 2, 8, 8)])
+    def test_measured_embedding_commutes_exactly(self, tmp_path, n, m, dA, dB):
+        # a model file measures its commutators; the real-stacked entry products round
+        # u_ij v_kl and v_kl u_ij alike, where a complex product leaves ~1e-16 at (3, 3, 3, 2)
+        path, report = tmp_path / "cm.json", tmp_path / "report.json"
+        assert main(["gen", "--kind", "commuting", "--n", str(n), "--m", str(m), "--dA", str(dA),
+                     "--dB", str(dB), "-o", str(path)]) == 0
+        assert main(["verify", "-i", str(path), "-o", str(report)]) == 0
+        checks = {c["name"]: c for c in read_payload(report)["checks"]}
+        assert checks["commutation"]["defect"] == 0.0 and checks["dual_formula"]["pass"]
+
     def test_corrupted_unitary_fails(self, model_path, tmp_path):
         doc = read_payload(model_path)
         doc["U"][0]["re"][0] += 0.1
@@ -427,6 +438,26 @@ class TestVerifyNamesWhereARouteCheckFailed:
         assert err == (f"verify: trace_preserving failed: worst |Tr L(E_ab) - delta_ab| 2.000e-10 "
                        f"at (a, b)=({a + 1}, {b + 1}) (setting pair x=1, y=1, 1-based labels)\n")
         assert a == b
+
+    def test_embedding_inherits_the_records_of_the_model_it_embeds(self, tmp_path, capsys):
+        # U scaled by 1 + 2e-10 stays within tol(8); U x I on the d = 4 embedding measures
+        # twice that defect, over the same tol(8), and used to end verify with exit 2
+        path = tmp_path / "model.json"
+        assert main(["gen", "--n", "2", "--m", "1", "--dA", "1", "--dB", "4",
+                     "-o", str(path)]) == 0
+        doc = read_payload(path)
+        for matrix in doc["U"]:
+            matrix["re"] = [v * (1 + 2e-10) for v in matrix["re"]]
+            matrix["im"] = [v * (1 + 2e-10) for v in matrix["im"]]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc, checks, err = self.run(path, tmp_path, capsys)
+        assert 2e-10 < checks["unitarity"]["defect"] <= checks["unitarity"]["tolerance"]
+        assert checks["embedding_invariance"]["pass"]
+        assert rc == 1 and [name for name, c in checks.items() if not c["pass"]] == [
+            "trace_preserving"]
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("verify: trace_preserving failed:")
 
     def test_choi_psd_and_trace_preserving(self, model_path, tmp_path, capsys, monkeypatch):
         # a negated member is neither CP nor TP: each failed check gets one line, in payload order

@@ -8,7 +8,6 @@ whole fuzz to a few seconds.
 """
 
 import copy
-import functools
 import json
 
 import numpy as np
@@ -67,10 +66,7 @@ DOCUMENTS = documents()
 
 
 @pytest.mark.parametrize("name, argv, doc", DOCUMENTS, ids=[d[0] for d in DOCUMENTS])
-def test_every_single_field_mutation_exits_cleanly(name, argv, doc, tmp_path, capsys,
-                                                   monkeypatch):
-    # one parser serves every run: building it takes most of a short run's time
-    monkeypatch.setattr(cli, "build_parser", functools.lru_cache(cli.build_parser))
+def test_every_single_field_mutation_exits_cleanly(name, argv, doc, tmp_path, capsys):
     strategy = tmp_path / "strategy.json"
     strategy.write_text(json.dumps(DOCUMENTS[3][2]))
     argv = [str(strategy) if a == "STRATEGY" else a for a in argv]
