@@ -8,8 +8,9 @@ ancilla pair A'B'.  This module computes that family
   ``L(rho) = Tr_env[ W^dag align(rho x sigma) W ]`` with
   ``W = (U^x x I)(I x V^y)``, never formed.  The state enters as a factor
   pair sigma = left right^dag, (psi, psi) for a vector state and (sigma, I)
-  for a density state; each factor's conjugate is contracted into U^x, V^y
-  is applied after, and the sandwich is conj(X_left) X_right^T; and
+  for a density state; each factor's conjugate is contracted into U^x once
+  per setting, then per pair V^y is applied and the sandwich
+  conj(X_left) X_right^T is formed, all by plain matrix products; and
 * from the moment table of the operator entries,
   ``T[i,j,l,k,p,r,t,s] = phi(u^x_ij (u^x_lk)* x v^y_pr (v^y_ts)*)``,
   via ``L(rho)[(k,s),(j,r)] = sum_{i,l,p,t} T[i,j,l,k,p,r,t,s] rho[(l,t),(i,p)]``.
@@ -128,28 +129,45 @@ class MomentTable:
         }
 
 
-def _factor_contracted(model: TensorModel | CommutingModel, x: int, y: int,
-                       F: np.ndarray) -> np.ndarray:
-    """X[..., k] = sum_E conj(F[E, k]) W[..., E, ...] for a (D, r) factor F, as (n^4, env, r).
+def _unchecked(cls, **fields):
+    """An instance of a family class around read-only arrays, skipping the constructor's copy."""
+    family = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(family, name, value)
+    return family
 
-    conj(F) goes into U^x first and V^y is applied after, so W is never
-    formed.  Axis 0 is W's ancilla legs (A' row, B' row, A' column, B'
-    column), axis 1 its mediating-system column legs, which are traced out.
+
+def _factor_contracted(model: TensorModel | CommutingModel, x: int, F: np.ndarray,
+                       r: int):
+    """X[a, e, k] = sum_E conj(F[E, k]) W[a, e, E] for each y, as (n^4, env r) blocks.
+
+    F is a (D, K) stack of factors of r columns each.  conj(F) goes into U^x
+    once, and V^y is applied after, per y, so W is never formed.  Yields,
+    for y = 0..m-1, one matrix per factor: rows are W's ancilla legs (A' row,
+    A' column, B' column, B' row), columns its mediating-system column legs,
+    which are traced out, and the factor's columns.  Every step is one matrix
+    product on views of U^x, a permuted copy of V^y and the product before.
     """
-    n, F_bar = model.n, np.conj(F)
+    n, K = model.n, F.shape[1]
+    F_bar = np.conj(F)
     if isinstance(model, TensorModel):
         dA, dB = model.dA, model.dB
-        U4 = model.U[x].reshape(n, dA, n, dA)
-        V4 = model.V[y].reshape(dB, n, dB, n)
-        Y = np.einsum("ABk,GAOp->GOpBk", F_bar.reshape(dA, dB, -1), U4, optimize=True)
-        X = np.einsum("GOpBk,BDqR->GDORpqk", Y, V4, optimize=True)
+        # Y[G, O, (B, k), p] = sum_A conj(F)[(A, B), k] U[(G, A), (O, p)]
+        Y = F_bar.reshape(dA, dB * K).T @ model.U[x].reshape(n, dA, n, dA).swapaxes(1, 2)
+        inner, width = dB, dA  # V^y sums over B; each column k of Y carries its p leg
+        legs, order = (dB, n, dB, n), (3, 1, 2, 0)  # V^y as rows (R, D, q), columns B
     else:
         d = model.d
-        U4 = model.U[x].reshape(n, d, n, d)
-        v_phys4 = model.V[y].reshape(n, d, n, d).transpose(1, 0, 3, 2)
-        Y = np.einsum("Ek,GEOh->GOhk", F_bar, U4, optimize=True)
-        X = np.einsum("GOhk,hDpR->GDORpk", Y, v_phys4, optimize=True)
-    return X.reshape(n ** 4, -1, F.shape[1])
+        # Y[G, O, h, k] = sum_E U[(G, E), (O, h)] conj(F)[E, k]
+        Y = model.U[x].reshape(n, d, n, d).transpose(0, 2, 3, 1) @ F_bar
+        inner, width = d, 1
+        legs, order = (n, d, n, d), (2, 0, 3, 1)  # V^y as rows (R, D, p), columns h
+    Y = Y.reshape(n, n, inner, K * width)  # columns (k, p), or k alone
+    step = r * width
+    blocks = [Y[..., j:j + step] for j in range(0, K * width, step)]
+    for V in model.V:
+        V = V.reshape(legs).transpose(order).reshape(-1, inner)  # one setting's copy at a time
+        yield [(V @ block).reshape(n ** 4, -1) for block in blocks]
 
 
 def channel_direct(model: TensorModel | CommutingModel, max_n: int = DEFAULT_MAX_N) -> ChannelFamily:
@@ -162,26 +180,26 @@ def channel_direct(model: TensorModel | CommutingModel, max_n: int = DEFAULT_MAX
     The state is a factor pair sigma[e, E] = sum_k left[e, k] conj(right[E, k]):
     (psi, psi) for a vector state, (sigma, I) for a density state, which keeps
     sigma as given, as the moment route does.  ``_factor_contracted`` takes psi,
-    or [sigma | I] stacked, and the sandwich is conj(X_left) X_right^T summed
-    over env and k, one matrix product per setting pair.  This route never
-    forms a Gram product of operator entries; ``moment_table`` never forms W.
+    or [sigma | I] stacked: the factors are contracted into U^x once per
+    setting, then, per setting pair, V^y is applied and the sandwich
+    conj(X_left) X_right^T is summed over env and k.  This route never forms
+    a Gram product of operator entries; ``moment_table`` never forms W.
     """
     model.check()
     n, m = model.n, model.m
     _guard_n(n, max_n)
-    n4 = n ** 4
     if model.state_is_vector:
-        factors, r = model.state[:, None], 1  # left = right = psi
+        F, r = model.state[:, None], 1  # left = right = psi
     else:
         r = len(model.state)
-        factors = np.hstack([model.state, np.eye(r)])  # [left | right]
-    supers = np.empty((m, m, n4, n4), dtype=complex)
-    for x, y in np.ndindex(m, m):
-        X = _factor_contracted(model, x, y, factors)
-        X_left, X_right = X[..., :r].reshape(n4, -1), X[..., -r:].reshape(n4, -1)
-        S = (np.conj(X_left) @ X_right.T).reshape((n,) * 8)  # axes (g, d, o, r, G, D, O, R)
-        supers[x, y] = S.transpose(2, 3, 6, 7, 0, 1, 4, 5).reshape(n4, n4)
-    return ChannelFamily(n=n, m=m, supers=supers)
+        F = np.hstack([model.state, np.eye(r)])  # [left | right]
+    supers = np.empty((m, m) + (n,) * 8, dtype=complex)
+    for x in range(m):
+        for y, X in enumerate(_factor_contracted(model, x, F, r)):
+            S = np.conj(X[0]) @ X[-1].T  # axes (g, o, r, d, G, O, R, D)
+            supers[x, y] = S.reshape((n,) * 8).transpose(1, 2, 5, 6, 0, 3, 4, 7)
+    supers.setflags(write=False)
+    return _unchecked(ChannelFamily, n=n, m=m, supers=supers.reshape(m, m, n ** 4, n ** 4))
 
 
 def _gram(blocks: np.ndarray) -> list[np.ndarray]:
@@ -281,11 +299,8 @@ def moments_from_channel(channel: ChannelFamily) -> MomentTable:
     column (j, r).  The table shares memory with the (read-only) channel.
     """
     n, m = channel.n, channel.m
-    table = object.__new__(MomentTable)  # skip the constructor's copy
-    for name, value in (("n", n), ("m", m),
-                        ("tables", channel.supers.reshape((m, m) + (n,) * 8).transpose(_S_TO_T))):
-        object.__setattr__(table, name, value)
-    return table
+    return _unchecked(MomentTable, n=n, m=m,
+                      tables=channel.supers.reshape((m, m) + (n,) * 8).transpose(_S_TO_T))
 
 
 def choi(channel: ChannelFamily) -> np.ndarray:

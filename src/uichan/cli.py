@@ -209,6 +209,11 @@ def _write_behaviour_csv(path: str, behaviour) -> None:
 def cmd_bell(args) -> int:
     t0 = time.perf_counter()
     channel = serialize.channel_from_json(_read_json(args.input))
+    report = channels.cptp_report(channel)
+    if not report.accepted:
+        raise DomainError("channel fails its CPTP audit: " + "; ".join(
+            f"{c.where}, tolerance {c.tolerance:.1e}"
+            for c in (report.choi_psd, report.trace_preserving)))
     behaviour = bell.behaviour_from_channel(channel)
     _emit(args, serialize.behaviour_to_json(behaviour), {"channel": args.input}, t0)
     if args.csv:

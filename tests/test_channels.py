@@ -133,19 +133,22 @@ class TestKronFreeForms:
 
     @staticmethod
     def coupling_unitary(model, x, y):
-        """W read off the identity-factor columns of the stacked [sigma | I] contraction.
+        """W read off the identity-factor block of the stacked [sigma | I] contraction.
 
         With F = I the contraction is W itself: rows are its ancilla legs, the
-        middle axis its mediating-system column legs, the last its row legs.
+        columns its mediating-system column legs around its row legs (tensor:
+        H_B column, then (H_A, H_B) row, then H_A column; commuting: column,
+        then row).
         """
         D = len(model.state)
         factors = np.hstack([model.density(), np.eye(D)])
-        X = channels._factor_contracted(model, x, y, factors)[..., D:]
+        X = list(channels._factor_contracted(model, x, factors, D))[y][-1]
         n = model.n
         if isinstance(model, TensorModel):
-            W = X.reshape((n,) * 4 + (model.dA, model.dB) * 2).transpose(0, 6, 7, 1, 2, 4, 5, 3)
+            W = X.reshape((n,) * 4 + (model.dB, model.dA, model.dB, model.dA))
+            W = W.transpose(0, 5, 6, 3, 1, 7, 4, 2)
         else:
-            W = X.reshape((n,) * 4 + (model.d,) * 2).transpose(0, 5, 1, 2, 4, 3)
+            W = X.reshape((n,) * 4 + (model.d,) * 2).transpose(0, 5, 3, 1, 4, 2)
         return W.reshape(n * D * n, n * D * n)
 
     # at n = 3 the kron form's (3d)^2-wide product rounds some entries in BLAS edge kernels
@@ -198,6 +201,43 @@ class TestKronFreeForms:
         with monkeypatch.context() as mp:
             mp.setattr(channels, "_factor_contracted", forbidden)
             assert np.array_equal(moment_table(model).tables, table.tables)
+
+    @pytest.mark.parametrize("kind", ["tensor", "commuting"])
+    @pytest.mark.parametrize("state", ["vector", "density"])
+    def test_factor_goes_into_each_setting_once(self, kind, state, monkeypatch):
+        # m = 3: the factor is contracted into U^x once per setting (3 calls of the helper,
+        # each contracting once), and V^y is applied once per setting pair (9 yields)
+        model = random_model(kind, 2, 3, 2, 3, state=state, seed=930)
+        expected = channel_direct(model).supers
+        calls, pairs = [], []
+        contract = channels._factor_contracted
+
+        def counting(model, x, F, r):
+            calls.append(x)
+            for X in contract(model, x, F, r):
+                pairs.append(x)
+                yield X
+
+        monkeypatch.setattr(channels, "_factor_contracted", counting)
+        assert np.array_equal(channel_direct(model).supers, expected)
+        assert calls == [0, 1, 2] and pairs == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+
+    @pytest.mark.parametrize("kind", ["tensor", "commuting"])
+    def test_peak_stays_within_a_few_pair_products(self, kind):
+        # one setting's contraction and one pair's products are held at a time: batching X
+        # over the pairs would hold 9 of them
+        n, m, dA, dB = 2, 3, 8, 8
+        model = random_model(kind, n, m, dA, dB, state="density", seed=940)
+        model.check()
+        D = dA * dB
+        pair_x_bytes = n ** 4 * D * 2 * D * 16  # X over env and both factors, complex
+        tracemalloc.start()
+        try:
+            channel_direct(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * pair_x_bytes
 
 
 class TestPsiFirstMoments:

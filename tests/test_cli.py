@@ -625,6 +625,26 @@ class TestBellCommands:
         b = behaviour_from_json(read_payload(beh))
         assert np.max(np.abs(b.p.sum(axis=(0, 1)) - 1.0)) <= 1e-10
 
+    @pytest.mark.parametrize("scale", [-1.0, 1.5])
+    def test_bell_refuses_a_channel_that_fails_its_audit(self, tmp_path, capsys, scale):
+        # one member's real part scaled: negated, its least Choi eigenvalue is -1.29 and its
+        # traces are off by 2; scaled by 1.5, off by 0.5.  Both would still extract to tables
+        # whose cells sum to 1, the negated one with p = -0.199
+        model, chan, beh = tmp_path / "model.json", tmp_path / "chan.json", tmp_path / "beh.json"
+        assert main(["gen", "--dA", "2", "--dB", "3", "--seed", "4", "-o", str(model)]) == 0
+        assert main(["channel", "-i", str(model), "-o", str(chan)]) == 0
+        doc = read_payload(chan)
+        member = doc["super"][0][1]
+        member["re"] = [scale * v for v in member["re"]]
+        chan.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["bell", "-i", str(chan), "-o", str(beh)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: channel fails its CPTP audit")
+        assert "least Choi eigenvalue" in err and "worst |Tr L(E_ab) - delta_ab|" in err
+        assert "setting pair x=1, y=2" in err
+        assert not beh.exists()
+
     def test_bell_direct_requires_input(self):
         assert main(["bell-direct"]) == 2
 
