@@ -288,8 +288,10 @@ def channel_from_moments(table: MomentTable) -> ChannelFamily:
     if not defect <= SYMMETRY_TOL:
         raise DomainError(
             f"moment table conjugate-symmetry defect {defect:.3e} exceeds {SYMMETRY_TOL:.1e}")
+    # the copy of a checked, read-only table needs no second copy or finiteness scan
     supers = table.tables.transpose(_T_TO_S).reshape(m, m, n ** 4, n ** 4)
-    return ChannelFamily(n=n, m=m, supers=supers)
+    supers.setflags(write=False)
+    return _unchecked(ChannelFamily, n=n, m=m, supers=supers)
 
 
 def moments_from_channel(channel: ChannelFamily) -> MomentTable:

@@ -14,12 +14,14 @@ variable ``UICHAN_MAX_N``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
 import math
 import os
 import platform
+import stat
 import sys
 import time
 
@@ -69,6 +71,25 @@ def _env() -> dict:
             "uichan_max_n": os.environ.get("UICHAN_MAX_N")}
 
 
+@contextlib.contextmanager
+def _overwrite(path: str):
+    """A UTF-8 text file written over ``path`` in place, then cut to the bytes written.
+
+    Like ``open(path, "w")``, but the file is not truncated at open: on ext4
+    that waits for the disk to settle the earlier contents (README, "File
+    formats").  The inode, mode and hard links are kept and symlinks are
+    followed.  The cut runs however the write ends, so an interrupted write
+    leaves a prefix of the new text and no old tail; a device or FIFO is not cut.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+
+
 def _emit(args, payload: dict, inputs: dict[str, str], t0: float, **extra) -> None:
     """Write payload and manifest; ``extra`` entries go into the manifest, never the payload.
 
@@ -96,7 +117,7 @@ def _emit(args, payload: dict, inputs: dict[str, str], t0: float, **extra) -> No
 
     pieces = serialize.document_pieces(payload, manifest, indent)  # a NaN payload raises here
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with _overwrite(args.output) as fh:
             fh.writelines(pieces)
             fh.write("\n")
     else:
@@ -202,7 +223,7 @@ def _write_behaviour_csv(path: str, behaviour) -> None:
     for x, y, a, b in np.ndindex(behaviour.m, behaviour.m, behaviour.n, behaviour.n):
         value = max(0.0, float(behaviour.p[a, b, x, y]))
         lines.append(f"{a + 1},{b + 1},{x + 1},{y + 1},{value!r}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _overwrite(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -116,8 +116,14 @@ def unitarity_defect(M: np.ndarray) -> float:
 
 
 def _hermitian_part(A: np.ndarray) -> np.ndarray:
-    """(A + A^dag)/2 of a matrix or of each member of a (..., d, d) stack."""
-    return (A + np.conj(A).swapaxes(-1, -2)) / 2
+    """(A + A^dag)/2 of a matrix or of each member of a (..., d, d) stack, C-contiguous.
+
+    Formed in one buffer: A^dag, then A added and the sum halved in place.
+    """
+    H = np.conjugate(A.swapaxes(-1, -2), order="C")
+    H += A
+    H /= 2
+    return H
 
 
 def herm_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

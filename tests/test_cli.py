@@ -833,6 +833,92 @@ class TestEmitStreamsTheDocument:
             tracemalloc.stop()
         assert peak < out.stat().st_size / 4, (peak, out.stat().st_size)
 
+    @staticmethod
+    def emit(path, payload, indent=2):
+        args = Namespace(command="gen", json_indent=indent, output=str(path))
+        cli._emit(args, payload, {}, time.perf_counter())
+        return path.read_text()
+
+    def test_overwrite_of_a_longer_file_leaves_exactly_the_new_bytes(self, tmp_path):
+        payload = self.payload()
+        fresh = self.emit(tmp_path / "fresh.json", payload)
+        over = tmp_path / "over.json"
+        over.write_text("x" * (len(fresh) + 2 ** 20))
+        text = self.emit(over, payload)
+        doc = json.loads(text)
+        assert doc["payload"] == json.loads(fresh)["payload"]
+        assert text == json.dumps({"payload": payload, "manifest": doc["manifest"]}, indent=2) + "\n"
+        assert doc["manifest"]["payload_sha256"] == sha256(json.dumps(payload, indent=2))
+
+    def test_overwrite_keeps_inode_mode_and_links(self, tmp_path):
+        out, link = tmp_path / "out.json", tmp_path / "link.json"
+        out.write_text("x" * 2 ** 20)
+        out.chmod(0o640)
+        os.link(out, link)
+        before = out.stat()
+        text = self.emit(out, self.payload())
+        after = out.stat()
+        assert (after.st_ino, after.st_nlink) == (before.st_ino, 2)
+        assert after.st_mode & 0o7777 == 0o640
+        assert link.read_text() == text and json.loads(text)["payload"]
+        # a new file gets the mode a truncating open gives it, under the umask
+        self.emit(tmp_path / "new.json", self.payload())
+        open(tmp_path / "reference", "w").close()
+        assert (tmp_path / "new.json").stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+    def test_symlink_output_writes_its_target(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("x" * 2 ** 20)
+        link.symlink_to(target)
+        text = self.emit(link, self.payload())
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == text
+        assert json.loads(text)["manifest"]["payload_sha256"] == sha256(
+            json.dumps(self.payload(), indent=2))
+
+    def test_devnull_output(self, capsys):
+        assert main(["gen", "-o", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("where", ["dir", "missing/out.json"])
+    def test_unwritable_output_exit_2_as_a_truncating_open(self, tmp_path, capsys, where):
+        path = tmp_path / where
+        if where == "dir":
+            path.mkdir()
+        with pytest.raises(OSError) as exc:
+            open(path, "w")
+        assert main(["gen", "-o", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+    def test_bell_csv_over_a_longer_csv_leaves_exactly_the_new_lines(self, model_path, tmp_path):
+        chan = tmp_path / "chan.json"
+        assert main(["channel", "-i", str(model_path), "-o", str(chan)]) == 0
+        fresh, over = tmp_path / "fresh.csv", tmp_path / "over.csv"
+        over.write_text("a,b,x,y,p\n" + "9,9,9,9,0.5\n" * 10000)
+        for csv in (fresh, over):
+            assert main(["bell", "-i", str(chan), "--csv", str(csv), "-o", os.devnull]) == 0
+        assert over.read_bytes() == fresh.read_bytes()
+        assert len(fresh.read_text().splitlines()) == 1 + 2 * 2 * 2 * 2
+
+    def test_interrupted_write_leaves_a_prefix_and_no_old_tail(self, tmp_path, monkeypatch):
+        out = tmp_path / "out.json"
+        out.write_text("x" * 2 ** 20)
+        pieces = serialize.document_pieces
+        written = []
+
+        def failing(*args):
+            for piece in pieces(*args):
+                if len(written) == 3:
+                    raise KeyboardInterrupt
+                written.append(piece)
+                yield piece
+
+        monkeypatch.setattr(serialize, "document_pieces", failing)
+        with pytest.raises(KeyboardInterrupt):
+            self.emit(out, self.payload())
+        assert out.read_text() == "".join(written)
+        assert json.dumps({"payload": self.payload()}, indent=2).startswith("".join(written))
+
 
 class TestSwapDemo:
     def test_pass_for_supported_n(self, tmp_path, capsys):
