@@ -20,10 +20,9 @@ import numpy as np
 
 from . import linalg
 from .channels import ChannelFamily, moments_from_channel
-from .errors import (DimensionMismatchError, DomainError, InconsistentChannelError,
-                     InvalidModelError)
+from .errors import DimensionMismatchError, DomainError, InconsistentChannelError
 from .models import (Check, CommutingModel, PVMFamily, TensorModel, _checked_state,
-                     _fourier_phases)
+                     _first_worst, _fourier_phases, _require, _setting_pair)
 
 
 def fourier_coeffs(n: int) -> np.ndarray:
@@ -71,10 +70,7 @@ class Behaviour:
                       NORM_TOL))
 
     def check(self) -> None:
-        checks = self.checks()
-        if not all(c.passed for c in checks):
-            defects = {c.name: c.defect for c in checks}
-            raise InvalidModelError(f"behaviour defects {defects} exceed tolerances")
+        _require("behaviour", self.checks())
 
 
 def _product_projectors(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -91,7 +87,7 @@ def behaviour_direct(alice: PVMFamily, bob: PVMFamily, state: np.ndarray) -> Beh
         raise DimensionMismatchError("PVM families must share outcome and setting counts")
     alice.check()
     bob.check()
-    s = _checked_state(state, alice.d * bob.d, "state")
+    s = _checked_state(state, alice.d * bob.d, "strategy state")
     rho = np.outer(s, np.conj(s)) if s.ndim == 1 else s
     ops = _product_projectors(alice.projectors, bob.projectors)
     p = np.real(np.trace(rho @ ops, axis1=-2, axis2=-1))  # (x, y, a, b)
@@ -138,10 +134,10 @@ def behaviour_from_channel(channel: ChannelFamily) -> Behaviour:
         p_hat[n - 1, :, x, y] += marg_b - cell.sum(axis=0)
         p_hat[:, n - 1, x, y] += marg_a - cell.sum(axis=1)
         p_hat[n - 1, n - 1, x, y] += 1.0 - marg_a.sum() - marg_b.sum() + cell.sum()
-    residue = float(np.max(np.abs(p_hat.imag)))
-    if residue > IMAG_TOL:
-        raise InconsistentChannelError(
-            f"extracted behaviour has imaginary residue {residue:.3e} > {IMAG_TOL:.1e}")
+    residue, where = _first_worst(np.abs(p_hat.imag), lambda worst, a, b, x, y: (
+        f"largest |Im p(ab|xy)| {worst:.3e} at (a, b)=({a + 1}, {b + 1}) {_setting_pair(x, y)}"))
+    _require("extracted behaviour", [Check("imaginary_residue", residue, IMAG_TOL, where)],
+             InconsistentChannelError)
     return Behaviour(n=n, m=m, p=p_hat.real)
 
 

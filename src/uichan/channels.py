@@ -44,7 +44,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatchError, DomainError
 from .models import (Check, CommutingModel, TensorModel, _checked_state, _first_worst,
-                     _setting_pair)
+                     _require, _setting_pair)
 
 DEFAULT_MAX_N = 4
 
@@ -103,10 +103,14 @@ class MomentTable:
         object.__setattr__(self, "tables", linalg.frozen(
             self.tables, (self.m, self.m), (self.n,) * 8, "moment tensor"))
 
-    def conjugate_symmetry_defect(self) -> float:
-        """Worst |T[i,j,l,k,p,r,t,s] - conj(T[l,k,i,j,t,s,p,r])| over the family."""
+    def conjugate_symmetry(self) -> Check:
+        """Worst |T[i,j,l,k,p,r,t,s] - conj(T[l,k,i,j,t,s,p,r])| over the family, as a check."""
         T = self.tables
-        return float(np.max(np.abs(T - np.conj(T.transpose(0, 1, 4, 5, 2, 3, 8, 9, 6, 7)))))
+        gap = np.abs(T - np.conj(T.transpose(0, 1, 4, 5, 2, 3, 8, 9, 6, 7)))
+        worst, where = _first_worst(gap, lambda worst, x, y, *index: (
+            f"worst |T[i,j,l,k,p,r,t,s] - conj(T[l,k,i,j,t,s,p,r])| {worst:.3e} at (i, j, l, k, "
+            f"p, r, t, s)=({', '.join(str(v + 1) for v in index)}) {_setting_pair(x, y)}"))
+        return Check("conjugate_symmetry", worst, SYMMETRY_TOL, where)
 
     def contraction_defects(self) -> dict[str, float]:
         """Unitarity-contraction residuals.
@@ -284,10 +288,7 @@ def channel_from_moments(table: MomentTable) -> ChannelFamily:
     Tables whose conjugate-symmetry defect exceeds ``SYMMETRY_TOL`` are rejected.
     """
     n, m = table.n, table.m
-    defect = table.conjugate_symmetry_defect()
-    if not defect <= SYMMETRY_TOL:
-        raise DomainError(
-            f"moment table conjugate-symmetry defect {defect:.3e} exceeds {SYMMETRY_TOL:.1e}")
+    _require("moment table", [table.conjugate_symmetry()], DomainError)
     # the copy of a checked, read-only table needs no second copy or finiteness scan
     supers = table.tables.transpose(_T_TO_S).reshape(m, m, n ** 4, n ** 4)
     supers.setflags(write=False)
@@ -337,21 +338,22 @@ def cptp_report(channel: ChannelFamily) -> CPTPReport:
     """
     m, n2 = channel.m, channel.n ** 2
     w = np.linalg.eigvalsh(linalg._hermitian_part(choi(channel)))
-    least, (x, y) = _first_worst(w[..., 0], least=True)
+    least, least_where = _first_worst(w[..., 0], lambda least, x, y: (
+        f"least Choi eigenvalue {least:.3e} {_setting_pair(x, y)}"), least=True)
     # Tr L(E_ab) = sum_u S[(u,u),(a,b)]
     traces = channel.supers.reshape(m, m, n2, n2, n2 * n2).trace(axis1=2, axis2=3)
-    worst, (tx, ty, a, b) = _first_worst(np.abs(traces.reshape(m, m, n2, n2) - np.eye(n2)))
+    worst, where = _first_worst(
+        np.abs(traces.reshape(m, m, n2, n2) - np.eye(n2)), lambda worst, x, y, a, b: (
+            f"worst |Tr L(E_ab) - delta_ab| {worst:.3e} at (a, b)=({a + 1}, {b + 1}) "
+            f"{_setting_pair(x, y)}"))
     return CPTPReport(
         min_choi_eigenvalue=least, trace_defect=worst,
-        choi_psd=Check("choi_psd", 0.0 if least >= 0 else -least, CP_TOL,
-                       f"least Choi eigenvalue {least:.3e} {_setting_pair(x, y)}"),
-        trace_preserving=Check("trace_preserving", worst, TP_TOL,
-                               f"worst |Tr L(E_ab) - delta_ab| {worst:.3e} at "
-                               f"(a, b)=({a + 1}, {b + 1}) {_setting_pair(tx, ty)}"))
+        choi_psd=Check("choi_psd", 0.0 if least >= 0 else -least, CP_TOL, least_where),
+        trace_preserving=Check("trace_preserving", worst, TP_TOL, where))
 
 
 def gap_check(name: str, a: ChannelFamily, b: ChannelFamily, tolerance: float) -> Check:
     """The largest |a - b| superoperator entry as a check, naming the first worst entry."""
-    worst, (x, y, row, col) = _first_worst(np.abs(a.supers - b.supers))
-    return Check(name, worst, tolerance, f"worst |difference| {worst:.3e} at "
-                                         f"supers[{x}, {y}][{row}, {col}] {_setting_pair(x, y)}")
+    worst, where = _first_worst(np.abs(a.supers - b.supers), lambda worst, x, y, row, col: (
+        f"worst |difference| {worst:.3e} at supers[{x}, {y}][{row}, {col}] {_setting_pair(x, y)}"))
+    return Check(name, worst, tolerance, where)

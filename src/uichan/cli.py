@@ -180,8 +180,7 @@ EMBEDDING_TOL = 1e-12  # verify's embedding_invariance: largest |tensor - embedd
 def _report(check: models.Check) -> dict:
     """The payload entry of a check; a failed one also gets one stderr line saying where."""
     if not check.passed:
-        where = check.where or f"defect {check.defect:.3e} exceeds tolerance {check.tolerance:.3e}"
-        print(f"verify: {check.name} failed: {where}", file=sys.stderr)
+        print(f"verify: {check.failure}", file=sys.stderr)
     # a NaN or infinite defect (say from overflowing entries) is written as null, failing
     defect = check.defect if math.isfinite(check.defect) else None
     return {"name": check.name, "defect": defect, "tolerance": check.tolerance,
@@ -231,10 +230,8 @@ def cmd_bell(args) -> int:
     t0 = time.perf_counter()
     channel = serialize.channel_from_json(_read_json(args.input))
     report = channels.cptp_report(channel)
-    if not report.accepted:
-        raise DomainError("channel fails its CPTP audit: " + "; ".join(
-            f"{c.where}, tolerance {c.tolerance:.1e}"
-            for c in (report.choi_psd, report.trace_preserving)))
+    models._require("channel fails its CPTP audit", (report.choi_psd, report.trace_preserving),
+                    DomainError)
     behaviour = bell.behaviour_from_channel(channel)
     _emit(args, serialize.behaviour_to_json(behaviour), {"channel": args.input}, t0)
     if args.csv:
@@ -256,11 +253,13 @@ def cmd_seesaw(args) -> int:
     t0 = time.perf_counter()
     f, inputs = _load_functional(args)
     n, m = f.shape[0], f.shape[2]
+    max_n = _max_n()
+    channels._guard_n(n, max_n)  # the lift's channel is dense: refuse before optimizing
     cfg = seesaw.SeesawConfig(dA=args.dA, dB=args.dB, n=n, m=m,
                               max_iters=args.max_iters, rel_tol=args.rel_tol,
                               restarts=args.restarts, seed=args.seed)
     result = seesaw.optimize_bell(f, cfg)
-    verification = seesaw.lift_and_verify(result, f)
+    verification = seesaw.lift_and_verify(result, f, max_n=max_n)
     payload = {
         "value": result.value,
         "trace": list(result.trace),

@@ -25,7 +25,8 @@ defects).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -35,15 +36,16 @@ from .errors import DimensionMismatchError, DomainError, InvalidModelError
 from .linalg import dag
 
 
-def _worst(values) -> float:
-    """Largest of the defects; NaN if any is NaN (the builtin max may drop it)."""
-    return float(np.max(list(values)))
+def _first_worst(values, words=None, least: bool = False):
+    """The largest (or least) entry, a NaN counting as worst, and a ``Check.locate`` for it.
 
-
-def _first_worst(values: np.ndarray, least: bool = False) -> tuple[float, tuple[int, ...]]:
-    """The largest (or least) entry and the index where it first occurs; a NaN counts as worst."""
-    arg, extreme = (np.argmin, np.min) if least else (np.argmax, np.max)
-    return float(extreme(values)), tuple(map(int, np.unravel_index(arg(values), values.shape)))
+    The locate searches for the first entry that holds it and words it as
+    ``words(worst, *index)``, only when called; without ``words`` it is None.
+    """
+    values = np.asarray(values)
+    extreme, arg = (np.min, np.argmin) if least else (np.max, np.argmax)
+    worst = float(extreme(values))
+    return worst, words and (lambda: words(worst, *np.unravel_index(arg(values), values.shape)))
 
 
 def _setting_pair(x: int, y: int) -> str:
@@ -61,25 +63,37 @@ class Check:
 
     A check passes iff ``defect <= tolerance``, so a NaN defect fails.
     ``where`` is the owner's one-line text naming the worst entry: its
-    measure, its value and its location, with 1-based labels.  It is None
-    when there is no entry to name.
+    measure, its value and its location, with 1-based labels.  ``locate``
+    words it each time ``where`` is read, so a passing check nobody asks
+    about is not searched; without it ``where`` is None.  ``failure`` is the one text
+    of a failed check, which ``verify``'s stderr and ``_require`` print.
     """
 
     name: str
     defect: float
     tolerance: float
-    where: str | None = None
+    locate: Callable[[], str] | None = field(default=None, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
         return bool(self.defect <= self.tolerance)
 
+    @property
+    def where(self) -> str | None:
+        return self.locate and self.locate()
+
+    @property
+    def failure(self) -> str:
+        """``<name> failed: <where>``; without a where, the defect against the tolerance."""
+        where = self.where or f"defect {self.defect:.3e} exceeds tolerance {self.tolerance:.3e}"
+        return f"{self.name} failed: {where}"
+
 
 def _require(what: str, checks, error=InvalidModelError) -> None:
-    """Raise ``error`` naming every defect unless all the checks, which share a tolerance, pass."""
-    if not all(c.passed for c in checks):
-        defects = {c.name: c.defect for c in checks}
-        raise error(f"{what} defects {defects} exceed tolerance {checks[0].tolerance:.3e}")
+    """Raise ``error`` unless every check passes: one line, ``what`` and then each failure."""
+    failures = [c.failure for c in checks if not c.passed]
+    if failures:
+        raise error(f"{what}: " + "; ".join(failures))
 
 
 def _freeze_state(state: np.ndarray, dim: int, name: str) -> np.ndarray:
@@ -96,7 +110,7 @@ def _state_defect(state: np.ndarray) -> float:
         return abs(float(np.linalg.norm(state)) - 1.0)
     herm = linalg.hermiticity_defect(state)
     w = np.linalg.eigvalsh(linalg._hermitian_part(state))
-    return _worst([herm, abs(float(np.real(np.trace(state))) - 1.0), 0.0, -float(w[0])])
+    return _first_worst([herm, abs(float(np.real(np.trace(state))) - 1.0), 0.0, -float(w[0])])[0]
 
 
 def _checked_state(state: np.ndarray, dim: int, name: str) -> np.ndarray:
@@ -133,8 +147,8 @@ class PVMFamily:
         idempotency = np.linalg.norm(P @ P - P, axis=(-2, -1))
         hermiticity = np.linalg.norm(P - np.conj(np.swapaxes(P, -1, -2)), axis=(-2, -1))
         completeness = np.linalg.norm(P.sum(axis=1) - np.eye(self.d), axis=(-2, -1))
-        return (Check("projector", _worst(np.append(idempotency, hermiticity)), t),
-                Check("completeness", _worst(completeness), t))
+        return (Check("projector", _first_worst(np.append(idempotency, hermiticity))[0], t),
+                Check("completeness", _first_worst(completeness)[0], t))
 
     def check(self) -> None:
         _require("PVM family", self.checks())
@@ -167,9 +181,9 @@ class _Model:
     @cached_property
     def _checks(self) -> tuple[Check, Check]:
         """The unitarity check, naming the worst stored matrix, and the state check."""
-        worst, (of_v, s) = _first_worst(self._unitarity_by_matrix)
-        where = (f"worst ||M^dag M - I||_F {worst:.3e} at stored {'UV'[of_v]} "
-                 f"(setting {'xy'[of_v]}={s + 1}, 1-based labels)")
+        worst, where = _first_worst(self._unitarity_by_matrix, lambda worst, of_v, s: (
+            f"worst ||M^dag M - I||_F {worst:.3e} at stored {'UV'[of_v]} "
+            f"(setting {'xy'[of_v]}={s + 1}, 1-based labels)"))
         return (Check("unitarity", worst, self.tolerance, where),
                 Check("state", _state_defect(self.state), self.tolerance))
 
@@ -284,10 +298,11 @@ class CommutingModel(_Model):
 
         Everything is measured but the commutator of an embedded tensor model, 0 by construction.
         """
-        worst, (x, dagger, y, ij, kl) = _first_worst(self._commutator_norms)
-        (i, j), (k, l) = divmod(ij, self.n), divmod(kl, self.n)
-        where = (f"worst ||[{'u_ij^dag' if dagger else 'u_ij'}, v_kl]||_F {worst:.3e} at "
-                 f"(i, j)=({i + 1}, {j + 1}), (k, l)=({k + 1}, {l + 1}) {_setting_pair(x, y)}")
+        n = self.n
+        worst, where = _first_worst(self._commutator_norms, lambda worst, x, dagger, y, ij, kl: (
+            f"worst ||[{'u_ij^dag' if dagger else 'u_ij'}, v_kl]||_F {worst:.3e} at (i, j)="
+            f"({ij // n + 1}, {ij % n + 1}), (k, l)=({kl // n + 1}, {kl % n + 1}) "
+            f"{_setting_pair(x, y)}"))
         return Check("commutation", worst, self.tolerance, where)
 
     def checks(self) -> tuple[Check, ...]:
@@ -295,13 +310,7 @@ class CommutingModel(_Model):
         return self._checks + (validate_commuting(self),)
 
     def check(self) -> None:
-        super().check()
-        commutation = self.commutation
-        if not commutation.passed:
-            raise InvalidModelError(
-                f"commuting model rejected: max commutator {commutation.defect:.3e}, "
-                f"max unitarity defect {self._checks[0].defect:.3e} "
-                f"(tolerance {commutation.tolerance:.3e})")
+        _require(type(self).__name__, self._checks + (self.commutation,))
 
 
 def _row_and_column(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,16 +343,10 @@ def _entry_products(column: np.ndarray, row: np.ndarray, out: np.ndarray) -> Non
 
 
 def validate_commuting(model: CommutingModel) -> Check:
-    """The commutation check of a commuting model, kept for tracers that wrap it.
+    """The commutation check of a commuting model (``model.commutation``), kept for tracers.
 
-    Its defect is the worst ||[u_ij, v_kl]||_F or ||[u_ij^dag, v_kl]||_F,
-    and ``where`` names that entry pair and its setting pair.  Every product
-    comes out of real BLAS products of stacked entry blocks (see
-    ``_entry_products``), and the record is cached on the model.  An
-    embedded tensor model carries an exact 0 from its construction, with
-    no ``where``.  ``CommutingModel.checks`` reads the record through this
-    function, so that a tracer wrapping it (the benchmark's does) times the
-    measurement.
+    ``CommutingModel.checks`` reads the record through this function, so
+    that a tracer wrapping it (the benchmark's does) times the measurement.
     """
     return model.commutation
 
@@ -397,9 +400,11 @@ def _fourier_unitaries(projectors: np.ndarray, n: int) -> np.ndarray:
     u = np.zeros(projectors.shape, dtype=complex)
     for a in range(n):
         u += phases[:, a, None, None] * projectors[:, None, a]
-    if not _worst(_unitarity_defects(u.reshape(-1, d, d))) <= linalg.tol(d):
-        raise InvalidModelError("Fourier combination of the projectors is not unitary; "
-                                "the PVM is invalid")
+    worst, where = _first_worst(_unitarity_defects(u.reshape(-1, d, d)), lambda worst, k: (
+        f"worst ||u^dag u - I||_F {worst:.3e} at u_a' (a'={k % n + 1}, setting x={k // n + 1}, "
+        "1-based labels)"))
+    _require("Fourier combination of the projectors (not a PVM)",
+             [Check("unitarity", worst, linalg.tol(d), where)])
     return u
 
 

@@ -25,10 +25,11 @@ import numpy as np
 
 from . import linalg
 from .bell import Behaviour, bell_value, behaviour_from_channel
-from .channels import channel_direct
+from .channels import DEFAULT_MAX_N, channel_direct
 from .errors import DimensionMismatchError, PipelineInconsistencyError
 from .linalg import _hermitian_part, dag
-from .models import PVMFamily, TensorModel, diagonal_fourier_lift, random_pvm_family
+from .models import (Check, PVMFamily, TensorModel, _require, diagonal_fourier_lift,
+                     random_pvm_family)
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,6 @@ class SeesawResult:
     lifted: TensorModel
     exact_updates: bool
     restart_index: int
-    config: SeesawConfig
     restarts: tuple[tuple[float, int, str], ...]  # (value, sweeps, stop) per restart
 
 
@@ -180,7 +180,6 @@ def optimize_bell(f: np.ndarray, cfg: SeesawConfig) -> SeesawResult:
         rng = np.random.Generator(np.random.Philox(child))
         P.append(random_pvm_family(dA, m, n, rng=rng).projectors)
         Q.append(random_pvm_family(dB, m, n, rng=rng).projectors)
-        linalg.haar_state_vector(rng, dA * dB)  # the starting state, replaced by the first sweep
     P, Q = np.stack(P), np.stack(Q)
     live = np.arange(cfg.restarts)  # restart index of each stack row
     prev = np.full(cfg.restarts, -np.inf)
@@ -219,8 +218,7 @@ def optimize_bell(f: np.ndarray, cfg: SeesawConfig) -> SeesawResult:
     lifted = diagonal_fourier_lift(alice, bob, psi)
     return SeesawResult(
         value=restarts[r][0], alice=alice, bob=bob, state=psi, trace=tuple(traces[r]),
-        lifted=lifted, exact_updates=(n == 2), restart_index=r, config=cfg,
-        restarts=restarts,
+        lifted=lifted, exact_updates=(n == 2), restart_index=r, restarts=restarts,
     )
 
 
@@ -242,16 +240,15 @@ LIFT_PASS_TOL = 1e-8  # LiftVerification.ok: the largest Bell-value deviation th
 LIFT_ERROR_TOL = 1e-6  # lift_and_verify raises when the two Bell values differ by more
 
 
-def lift_and_verify(result: SeesawResult, f: np.ndarray) -> LiftVerification:
-    """Push the lifted model through channel extraction and compare Bell values."""
-    channel = channel_direct(result.lifted)
-    behaviour = behaviour_from_channel(channel)
+def lift_and_verify(result: SeesawResult, f: np.ndarray,
+                    max_n: int = DEFAULT_MAX_N) -> LiftVerification:
+    """Push the lifted model through ``channel_direct`` (guarded at max_n); compare Bell values."""
+    behaviour = behaviour_from_channel(channel_direct(result.lifted, max_n=max_n))
     lifted_value = bell_value(behaviour, f)
     deviation = abs(lifted_value - result.value)
-    if deviation > LIFT_ERROR_TOL:
-        raise PipelineInconsistencyError(
-            f"lifted channel value {lifted_value:.12f} deviates from optimizer "
-            f"value {result.value:.12f} by {deviation:.3e} > {LIFT_ERROR_TOL:.1e}")
+    _require("lifted strategy", [Check("lift_deviation", deviation, LIFT_ERROR_TOL, lambda: (
+        f"lifted channel value {lifted_value:.12f} deviates from optimizer value "
+        f"{result.value:.12f} by {deviation:.3e}"))], PipelineInconsistencyError)
     return LiftVerification(
         optimizer_value=result.value, lifted_value=lifted_value,
         deviation=deviation, behaviour=behaviour,

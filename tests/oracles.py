@@ -7,10 +7,10 @@ import numpy as np
 
 from uichan import linalg, serialize
 from uichan.bell import Behaviour, fourier_coeffs
-from uichan.channels import ChannelFamily
+from uichan.channels import ChannelFamily, channel_direct
 from uichan.errors import DimensionMismatchError
 from uichan.models import (CommutingModel, PVMFamily, TensorModel, _fourier_unitaries,
-                           random_pvm_family)
+                           random_pvm_family, random_tensor_model)
 from uichan.seesaw import (SeesawConfig, _alice_scores, _bell_operator, _bob_scores,
                            _update_party)
 
@@ -155,3 +155,19 @@ def seesaw_by_restart(f: np.ndarray, cfg: SeesawConfig) -> list[tuple]:
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     return [seesaw_once(np.asarray(f, dtype=float), cfg,
                         np.random.Generator(np.random.Philox(child))) for child in children]
+
+
+def anti_hermitian_choi_channel(eps: float) -> ChannelFamily:
+    """A valid n = 2, m = 1 channel plus i eps (E_pq + E_qp) in its Choi matrix.
+
+    That part is anti-Hermitian and lies off the output diagonal, in the
+    diagonal moment T[j,j,k,k,r,r,s,s] with k = 2, j = r = s = 1 (1-based)
+    and its mirror.  The Hermitian part of the Choi matrix and every trace
+    Tr L(E_ab) stay as they were, so ``cptp_report`` accepts the family,
+    but it no longer maps Hermitian inputs to Hermitian outputs.
+    """
+    S = np.array(channel_direct(random_tensor_model(2, 1, 1, 1, seed=2)).supers)
+    S = S.reshape(4, 4, 4, 4)  # (output row, output column, input row, input column)
+    S[2, 0, 2, 0] += 1j * eps
+    S[0, 2, 0, 2] += 1j * eps
+    return ChannelFamily(n=2, m=1, supers=S.reshape(1, 1, 16, 16))

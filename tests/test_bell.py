@@ -8,12 +8,13 @@ from uichan import linalg
 from uichan.bell import (Behaviour, behaviour_direct, behaviour_from_channel, bell_value,
                          chsh_functional, chsh_optimal_strategy, diagonal_moment_behaviour,
                          fourier_coeffs, sub_povm_total_bound)
-from uichan.channels import channel_direct, moments_from_channel
-from uichan.errors import DimensionMismatchError, DomainError, InvalidModelError
+from uichan.channels import ChannelFamily, channel_direct, cptp_report, moments_from_channel
+from uichan.errors import (DimensionMismatchError, DomainError, InconsistentChannelError,
+                           InvalidModelError)
 from uichan.models import (PVMFamily, _state_defect, diagonal_fourier_lift, random_pvm_family,
                            random_tensor_model)
 
-from oracles import lastcond_contraction, unitaries_from_pvm
+from oracles import anti_hermitian_choi_channel, lastcond_contraction, unitaries_from_pvm
 
 CHSH_OPTIMUM = (2 + np.sqrt(2)) / 4
 
@@ -159,11 +160,15 @@ class TestStateBound:
     def test_one_bound_for_strategies_and_channel_inputs(self):
         assert _state_defect(self.OFF) > linalg.tol(4)
         alice, bob, _ = chsh_optimal_strategy()
-        with pytest.raises(DomainError, match="exceed tolerance 4.000e-10"):
+        with pytest.raises(DomainError) as refused:
             behaviour_direct(alice, bob, self.OFF)
+        assert str(refused.value) == ("strategy state: state failed: defect 5.000e-10 exceeds "
+                                      "tolerance 4.000e-10")
         family = channel_direct(random_tensor_model(2, 1, 1, 1, seed=2))
-        with pytest.raises(DomainError, match="exceed tolerance 4.000e-10"):
+        with pytest.raises(DomainError) as refused:
             family.apply_to(self.OFF, 0, 0)
+        assert str(refused.value) == ("input state: state failed: defect 5.000e-10 exceeds "
+                                      "tolerance 4.000e-10")
         # within tol(4) both take it
         inside = np.diag([0.5 + 1e-10, 0.5 + 1e-10, 0.0, -2e-10])
         assert _state_defect(inside) <= linalg.tol(4)
@@ -304,8 +309,19 @@ class TestBehaviourType:
         bad = Behaviour(n=2, m=1, p=p * 0.5)
         negativity, normalization = bad.checks()
         assert negativity.passed and normalization.defect > 0.4 and not normalization.passed
-        with pytest.raises(InvalidModelError):
+        with pytest.raises(InvalidModelError) as refused:
             bad.check()
+        assert str(refused.value) == ("behaviour: normalization failed: defect 5.000e-01 exceeds "
+                                      "tolerance 1.000e-10")
+        # numpy's pairwise sum meets +inf and -inf in one cell: a NaN residual fails as well
+        p = np.zeros(16)
+        p[[0, 8]], p[[1, 9]] = 1.7e308, -1.7e308
+        behaviour = Behaviour(n=4, m=1, p=p.reshape(4, 4, 1, 1))
+        with np.errstate(all="ignore"), pytest.raises(InvalidModelError) as refused:
+            behaviour.check()
+        assert str(refused.value) == (
+            "behaviour: negativity failed: defect 1.700e+308 exceeds tolerance 1.000e-09; "
+            "normalization failed: defect nan exceeds tolerance 1.000e-10")
 
     def test_shape_error(self):
         with pytest.raises(DimensionMismatchError):
@@ -317,3 +333,23 @@ class TestBehaviourType:
             p[1, 0, 0, 1] = bad
             with pytest.raises(DomainError):
                 Behaviour(n=2, m=2, p=p)
+
+
+class TestFailedChecksNameTheirRecord:
+    def test_imaginary_residue(self):
+        channel = anti_hermitian_choi_channel(1e-3)
+        assert cptp_report(channel).accepted
+        with pytest.raises(InconsistentChannelError) as refused:
+            behaviour_from_channel(channel)
+        assert str(refused.value) == (
+            "extracted behaviour: imaginary_residue failed: largest |Im p(ab|xy)| 1.250e-04 at "
+            "(a, b)=(1, 2) (setting pair x=1, y=1, 1-based labels)")
+
+    def test_nan_imaginary_residue(self):
+        # entries of 1e308 overflow the extraction to a NaN residue, which must fail as well
+        huge = ChannelFamily(n=2, m=1, supers=np.full((1, 1, 16, 16), 1e308))
+        with np.errstate(all="ignore"), pytest.raises(InconsistentChannelError) as refused:
+            behaviour_from_channel(huge)
+        assert str(refused.value) == (
+            "extracted behaviour: imaginary_residue failed: largest |Im p(ab|xy)| nan at "
+            "(a, b)=(1, 2) (setting pair x=1, y=1, 1-based labels)")

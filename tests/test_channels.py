@@ -292,7 +292,7 @@ class TestMomentTable:
 
     def test_conjugate_symmetry(self):
         tm = random_tensor_model(3, 1, 2, 2, seed=27)
-        assert moment_table(tm).conjugate_symmetry_defect() <= 1e-10
+        assert moment_table(tm).conjugate_symmetry().defect <= 1e-10
 
     def test_tensor_vs_embedded_tables_agree(self):
         tm = random_tensor_model(2, 2, 2, 3, seed=28)
@@ -334,8 +334,19 @@ class TestMomentChannelRoundTrips:
     def test_asymmetric_table_rejected(self):
         T = delta_tensor(2).astype(complex)
         T[0, 1, 1, 0, 0, 0, 0, 0] = 0.5  # breaks conjugate symmetry
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as refused:
             channel_from_moments(MomentTable(n=2, m=1, tables=((T,),)))
+        assert str(refused.value) == (
+            "moment table: conjugate_symmetry failed: worst |T[i,j,l,k,p,r,t,s] - "
+            "conj(T[l,k,i,j,t,s,p,r])| 5.000e-01 at (i, j, l, k, p, r, t, s)=(1, 2, 2, 1, 1, 1, 1, "
+            "1) (setting pair x=1, y=1, 1-based labels)")
+        # the constructor refuses a NaN, so this table is built as moments_from_channel's view is
+        T[1, 0, 0, 1, 1, 1, 1, 1] = np.nan
+        nan = channels._unchecked(MomentTable, n=2, m=1, tables=T[None, None])
+        with pytest.raises(DomainError) as refused:
+            channel_from_moments(nan)
+        assert str(refused.value).endswith("| nan at (i, j, l, k, p, r, t, s)=(1, 2, 2, 1, 2, 2, "
+                                           "2, 2) (setting pair x=1, y=1, 1-based labels)")
 
     def test_recovered_moments_match_state_expectations(self):
         # diagonal moments of a lifted strategy equal <psi| u_j u_k^dag x v_r v_s^dag |psi>

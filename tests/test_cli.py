@@ -13,12 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uichan import bell, channels, cli, linalg, models, serialize
+from uichan import bell, channels, cli, linalg, models, seesaw, serialize
 from uichan.cli import MAX_JSON_INDENT, main
 from uichan.models import (CommutingModel, TensorModel, embed_tensor_as_commuting,
                            random_tensor_model)
 
-from oracles import behaviour_from_json
+from oracles import anti_hermitian_choi_channel, behaviour_from_json
 
 CHSH_OPTIMUM = (2 + np.sqrt(2)) / 4
 
@@ -290,10 +290,9 @@ class TestGenAndVerify:
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["verify", "-i", str(path), "--tol", "1", "-o", str(report)]) == 2
-        model = serialize.model_from_json(doc)
-        defects = {c.name: c.defect for c in model.checks()}
-        assert capsys.readouterr().err == (f"error: TensorModel defects {defects} exceed "
-                                           f"tolerance {model.tolerance:.3e}\n")
+        assert capsys.readouterr().err == ("error: TensorModel: unitarity failed: worst "
+                                           "||M^dag M - I||_F 1.260e-03 at stored U "
+                                           "(setting x=1, 1-based labels)\n")
         assert not report.exists()
 
     @pytest.mark.parametrize("flaw", ["not_utf8", "deeply_nested"])
@@ -331,11 +330,12 @@ class TestGenAndVerify:
         argv, doc, fields = docs[document]
         commuting = serialize.model_to_json(embed_tensor_as_commuting(tm))
         cases = [(doc, field) for field in fields] + [(commuting, "d")] * (document == "model")
-        bad, out = tmp_path / "bad.json", tmp_path / "out.json"
-        for base, field in cases:
+        out = tmp_path / "out.json"
+        for k, (base, field) in enumerate(cases):
             for value in (2.9, "2", True):
                 broken = json.loads(json.dumps(base))
                 (broken["U"][0] if field == "dim" else broken)[field] = value
+                bad = tmp_path / f"bad-{k}-{value!r}.json"  # its own file: no truncating rewrite
                 bad.write_text(json.dumps(broken))
                 assert main(argv + [str(bad), "-o", str(out)]) == 2, (field, value)
                 err = capsys.readouterr().err
@@ -585,6 +585,88 @@ class TestChannelCommand:
         assert err.startswith("error: UICHAN_MAX_N must be an integer") and "Traceback" not in err
 
 
+class TestOneFailureText:
+    def test_channel_names_the_entry_verify_names(self, tmp_path, capsys):
+        # the Haar-V model: channel's error line carries verify's failure text, one line each
+        path, out = tmp_path / "cm.json", tmp_path / "out.json"
+        assert main(["gen", "--kind", "commuting", "--seed", "19", "-o", str(path)]) == 0
+        haar = write_haar_v(read_payload(path), tmp_path / "haar.json", seed=19)
+        capsys.readouterr()
+        assert main(["verify", "-i", str(haar), "-o", str(out)]) == 1
+        failure = ("commutation failed: worst ||[u_ij, v_kl]||_F 2.010e+00 at (i, j)=(1, 1), "
+                   "(k, l)=(2, 1) (setting pair x=2, y=1, 1-based labels)\n")
+        assert capsys.readouterr().err == "verify: " + failure
+        for method in ("direct", "moments"):
+            channel = tmp_path / f"{method}.json"
+            assert main(["channel", "-i", str(haar), "--method", method, "-o", str(channel)]) == 2
+            assert capsys.readouterr().err == "error: CommutingModel: " + failure
+            assert not channel.exists()
+
+    def test_channel_audit_exits_1(self, tmp_path, capsys):
+        # V scaled by 1 + 1e-10: the model's unitarity check accepts it, the channel's trace
+        # is off by 2e-10; the audit fails and exits 1, and the channel is written anyway
+        path, out = tmp_path / "scaled.json", tmp_path / "channel.json"
+        assert main(["gen", "--n", "2", "--m", "1", "--dA", "1", "--dB", "4",
+                     "-o", str(path)]) == 0
+        doc = read_payload(path)
+        for V in doc["V"]:
+            V["re"], V["im"] = ([v * (1 + 1e-10) for v in V[part]] for part in ("re", "im"))
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["channel", "-i", str(path), "--audit", "-o", str(out)]) == 1
+        audit = json.loads(capsys.readouterr().out)
+        assert audit["completely_positive"] and not audit["trace_preserving"]
+        assert audit["pass"] is False and out.exists()
+
+    def test_check_failed_exits_1_on_a_channel_the_audit_accepts(self, tmp_path, capsys):
+        # a real input for main's exit-1 handler: the audit reads only the Hermitian part of
+        # the Choi matrix, so it passes a channel whose extracted table is not real
+        chan, beh = tmp_path / "chan.json", tmp_path / "beh.json"
+        chan.write_text(json.dumps(serialize.channel_to_json(anti_hermitian_choi_channel(1e-3))))
+        assert main(["bell", "-i", str(chan), "-o", str(beh)]) == 1
+        assert capsys.readouterr().err == (
+            "check failed: extracted behaviour: imaginary_residue failed: largest |Im p(ab|xy)| "
+            "1.250e-04 at (a, b)=(1, 2) (setting pair x=1, y=1, 1-based labels)\n")
+        assert not beh.exists()
+
+    def test_bell_names_a_nan_choi_eigenvalue(self, tmp_path, capsys):
+        # one entry of 1.7e308 overflows the Choi matrix's Hermitian part: a NaN least eigenvalue
+        model, chan, beh = tmp_path / "model.json", tmp_path / "chan.json", tmp_path / "beh.json"
+        assert main(["gen", "--dA", "2", "--dB", "3", "--seed", "4", "-o", str(model)]) == 0
+        assert main(["channel", "-i", str(model), "-o", str(chan)]) == 0
+        doc = read_payload(chan)
+        doc["super"][0][0]["re"][0] = 1.7e308
+        chan.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):  # the CLI prints these as warnings
+            assert main(["bell", "-i", str(chan), "-o", str(beh)]) == 2
+        assert capsys.readouterr().err == (
+            "error: channel fails its CPTP audit: choi_psd failed: least Choi eigenvalue nan "
+            "(setting pair x=1, y=1, 1-based labels); trace_preserving failed: worst "
+            "|Tr L(E_ab) - delta_ab| 1.700e+308 at (a, b)=(1, 1) (setting pair x=1, y=1, "
+            "1-based labels)\n")
+        assert not beh.exists()
+
+    def test_seesaw_reads_uichan_max_n_before_optimizing(self, tmp_path, capsys, monkeypatch):
+        f5, out = tmp_path / "f5.json", tmp_path / "seesaw.json"
+        f = np.random.default_rng(5).standard_normal((5, 5, 1, 1))
+        f5.write_text(json.dumps({"n": 5, "m": 1, "p": f.tolist()}))
+        argv = ["seesaw", "-f", str(f5), "--dA", "1", "--dB", "1", "--restarts", "2",
+                "-o", str(out)]
+        monkeypatch.delenv("UICHAN_MAX_N", raising=False)
+        with monkeypatch.context() as patched:
+            patched.setattr(seesaw, "optimize_bell", lambda *a: pytest.fail("optimized first"))
+            assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: ancilla dimension n=5 exceeds the dense-storage guard (max_n=4); pass max_n "
+            "explicitly (or set UICHAN_MAX_N for the CLI) to override\n")
+        assert not out.exists()
+        monkeypatch.setenv("UICHAN_MAX_N", "5")
+        assert main(argv) == 0
+        verification = read_payload(out)["verification"]
+        assert verification["pass"] and verification["deviation"] <= 1e-12
+
+
 class TestBellCommands:
     def test_bell_extraction_matches_direct(self, tmp_path):
         strat = tmp_path / "strategy.json"
@@ -639,10 +721,12 @@ class TestBellCommands:
         chan.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["bell", "-i", str(chan), "-o", str(beh)]) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: channel fails its CPTP audit")
-        assert "least Choi eigenvalue" in err and "worst |Tr L(E_ab) - delta_ab|" in err
-        assert "setting pair x=1, y=2" in err
+        # each failed record once, in its own words; scaled by 1.5 the member is still CP
+        trace = ("trace_preserving failed: worst |Tr L(E_ab) - delta_ab| "
+                 f"{abs(scale - 1):.3e} at (a, b)=(1, 1) (setting pair x=1, y=2, 1-based labels)")
+        choi = ("choi_psd failed: least Choi eigenvalue -1.287e+00 "
+                "(setting pair x=1, y=2, 1-based labels); ") if scale < 0 else ""
+        assert capsys.readouterr().err == f"error: channel fails its CPTP audit: {choi}{trace}\n"
         assert not beh.exists()
 
     def test_bell_direct_requires_input(self):

@@ -305,8 +305,11 @@ class TestValidateCommuting:
         bad = CommutingModel(n=2, m=2, d=cm.d, state=cm.state, U=cm.U, V=(haar, cm.V[1]))
         assert bad.checks()[0].passed  # unitary: only commutation fails
         for call in (CommutingModel.check, channel_direct, moment_table):
-            with pytest.raises(InvalidModelError, match="commuting model rejected"):
+            with pytest.raises(InvalidModelError) as rejected:
                 call(bad)
+            assert str(rejected.value) == (
+                "CommutingModel: commutation failed: worst ||[u_ij, v_kl]||_F 2.010e+00 at "
+                "(i, j)=(1, 1), (k, l)=(2, 1) (setting pair x=2, y=1, 1-based labels)")
 
 
 class TestEmbedding:
@@ -422,10 +425,12 @@ class TestDiagonalFourierLift:
         half = PVMFamily(d=2, m=1, n=2, projectors=((np.eye(2) / 2, np.eye(2) / 2),))
         state = np.zeros(4, dtype=complex)
         state[0] = 1.0
-        with pytest.raises(InvalidModelError, match="not unitary"):
-            diagonal_fourier_lift(half, computational_pvm(2, 1), state)
-        with pytest.raises(InvalidModelError, match="not unitary"):
-            diagonal_fourier_lift(computational_pvm(2, 1), half, state)
+        for alice, bob in ((half, computational_pvm(2, 1)), (computational_pvm(2, 1), half)):
+            with pytest.raises(InvalidModelError) as rejected:
+                diagonal_fourier_lift(alice, bob, state)
+            assert str(rejected.value) == (
+                "Fourier combination of the projectors (not a PVM): unitarity failed: worst "
+                "||u^dag u - I||_F 1.414e+00 at u_a' (a'=1, setting x=1, 1-based labels)")
 
 
 class TestRandomModel:
@@ -439,3 +444,50 @@ class TestRandomModel:
     def test_unknown_kind(self):
         with pytest.raises(DimensionMismatchError):
             random_model("nope", 2, 2, 2, 2)
+
+
+class TestOneFailurePath:
+    def test_worst_is_located_only_when_asked(self):
+        # a NaN counts as worst; the search for its first index runs when the text is read
+        searched = []
+        values = np.array([[1.0, np.nan], [np.nan, 2.0]])
+        worst, locate = models._first_worst(values, lambda w, i, j: searched.append((i, j)) or
+                                            f"{w} at ({i + 1}, {j + 1})")
+        assert np.isnan(worst) and searched == []
+        check = models.Check("probe", worst, 1.0, locate)
+        assert not check.passed and searched == []
+        assert check.where == "nan at (1, 2)" and searched == [(0, 1)]
+        assert np.isnan(models._first_worst(values, least=True)[0])  # the least, too
+        assert models._first_worst([3.0, -1.0], least=True) == (-1.0, None)
+
+    def test_failure_text_and_require(self):
+        located = models.Check("located", 2.0, 1.0, lambda: "worst entry at (1, 1)")
+        bare = models.Check("bare", np.nan, 1e-10)
+        assert located.failure == "located failed: worst entry at (1, 1)"
+        assert bare.failure == "bare failed: defect nan exceeds tolerance 1.000e-10"
+        models._require("thing", [models.Check("fine", 0.0, 1.0), models.Check("at", 1.0, 1.0)])
+        with pytest.raises(DomainError) as refused:
+            models._require("thing", [models.Check("fine", 0.0, 1.0), located, bare], DomainError)
+        assert str(refused.value) == ("thing: located failed: worst entry at (1, 1); "
+                                      "bare failed: defect nan exceeds tolerance 1.000e-10")
+
+    def test_nan_defects_fail_a_commuting_model_and_both_are_named(self):
+        # entries near 1e200 overflow U^dag U and every entry product to inf - inf = NaN
+        rng = linalg.rng_from_seed(1)
+        U, V = (1e200 * linalg.haar_unitary_from(rng, 4) for _ in range(2))
+        cm = CommutingModel(n=2, m=1, d=2, state=np.array([1.0, 0.0]), U=(U,), V=(V,))
+        with pytest.raises(InvalidModelError) as rejected:
+            cm.check()
+        assert str(rejected.value) == (
+            "CommutingModel: unitarity failed: worst ||M^dag M - I||_F nan at stored U "
+            "(setting x=1, 1-based labels); commutation failed: worst ||[u_ij, v_kl]||_F nan at "
+            "(i, j)=(1, 1), (k, l)=(1, 1) (setting pair x=1, y=1, 1-based labels)")
+
+    def test_nan_fourier_defect_fails_the_lift(self):
+        # a 1e200 projector entry overflows u^dag u to NaN: the lift refuses, naming u_a'
+        huge = PVMFamily(d=2, m=1, n=2, projectors=((1e200 * np.eye(2), np.eye(2)),))
+        with pytest.raises(InvalidModelError) as rejected:
+            diagonal_fourier_lift(huge, computational_pvm(2, 1), np.array([1.0, 0, 0, 0]))
+        assert str(rejected.value) == (
+            "Fourier combination of the projectors (not a PVM): unitarity failed: worst "
+            "||u^dag u - I||_F nan at u_a' (a'=1, setting x=1, 1-based labels)")

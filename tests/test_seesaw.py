@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from uichan import linalg
 from uichan.bell import chsh_functional
-from uichan.errors import DimensionMismatchError, PipelineInconsistencyError
+from uichan.errors import DimensionMismatchError, DomainError, PipelineInconsistencyError
 from uichan.models import random_pvm_family
 from uichan.seesaw import (SeesawConfig, _alice_scores, _bell_operator, _bob_scores,
                            _positive_eigenspace_split, _update_party, lift_and_verify,
@@ -324,6 +324,19 @@ class TestLiftAndVerify:
         cfg = SeesawConfig(dA=2, dB=2, n=2, m=2, restarts=1, seed=37)
         f = chsh_functional()
         res = optimize_bell(f, cfg)
-        doctored = dataclasses.replace(res, value=res.value + 0.1)
-        with pytest.raises(PipelineInconsistencyError):
-            lift_and_verify(doctored, f)
+        lifted = lift_and_verify(res, f).lifted_value
+        for value, gap in ((res.value + 0.1, f"{abs(lifted - res.value - 0.1):.3e}"),
+                           (np.nan, "nan")):  # a NaN deviation fails as well
+            with pytest.raises(PipelineInconsistencyError) as refused:
+                lift_and_verify(dataclasses.replace(res, value=value), f)
+            assert str(refused.value) == (
+                f"lifted strategy: lift_deviation failed: lifted channel value {lifted:.12f} "
+                f"deviates from optimizer value {value:.12f} by {gap}")
+
+    def test_lift_takes_the_dense_storage_guard(self):
+        # n = 5 is past the default guard; max_n, as the CLI passes UICHAN_MAX_N, admits it
+        f = np.random.default_rng(5).standard_normal((5, 5, 1, 1))
+        res = optimize_bell(f, SeesawConfig(dA=1, dB=1, n=5, m=1, restarts=2))
+        with pytest.raises(DomainError, match=r"n=5 exceeds the dense-storage guard \(max_n=4\)"):
+            lift_and_verify(res, f)
+        assert lift_and_verify(res, f, max_n=5).deviation <= 1e-12
