@@ -335,15 +335,21 @@ def cptp_report(channel: ChannelFamily) -> CPTPReport:
     """Audit every member: min Choi eigenvalue and max_ab |Tr L(E_ab) - delta_ab|.
 
     Each record names its worst setting pair; the first is taken, and a NaN counts as worst.
+    A member whose Choi matrix has a Hermitian part that is not finite (entries near the
+    double limit overflow in it) gets a NaN least eigenvalue without an ``eigvalsh`` call.
     """
     m, n2 = channel.m, channel.n ** 2
-    w = np.linalg.eigvalsh(linalg._hermitian_part(choi(channel)))
-    least, least_where = _first_worst(w[..., 0], lambda least, x, y: (
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = linalg._hermitian_part(choi(channel))
+        # Tr L(E_ab) = sum_u S[(u,u),(a,b)]
+        traces = channel.supers.reshape(m, m, n2, n2, n2 * n2).trace(axis1=2, axis2=3)
+        defects = np.abs(traces.reshape(m, m, n2, n2) - np.eye(n2))
+    finite = np.isfinite(H).all(axis=(-2, -1))
+    w = np.full((m, m), np.nan)
+    w[finite] = np.linalg.eigvalsh(H[finite])[:, 0]
+    least, least_where = _first_worst(w, lambda least, x, y: (
         f"least Choi eigenvalue {least:.3e} {_setting_pair(x, y)}"), least=True)
-    # Tr L(E_ab) = sum_u S[(u,u),(a,b)]
-    traces = channel.supers.reshape(m, m, n2, n2, n2 * n2).trace(axis1=2, axis2=3)
-    worst, where = _first_worst(
-        np.abs(traces.reshape(m, m, n2, n2) - np.eye(n2)), lambda worst, x, y, a, b: (
+    worst, where = _first_worst(defects, lambda worst, x, y, a, b: (
             f"worst |Tr L(E_ab) - delta_ab| {worst:.3e} at (a, b)=({a + 1}, {b + 1}) "
             f"{_setting_pair(x, y)}"))
     return CPTPReport(

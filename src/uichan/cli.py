@@ -17,13 +17,13 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import json
 import math
 import os
 import platform
 import stat
 import sys
 import time
+from typing import Any, Callable
 
 import numpy as np
 
@@ -46,17 +46,16 @@ def _max_n() -> int:
         raise DomainError(f"UICHAN_MAX_N must be an integer, got {text!r}") from None
 
 
-def _read_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
-    except RecursionError:
-        raise SchemaError(f"{path} nests too deeply to read") from None
+def _read_json(path: str, parse: Callable[[dict], Any]) -> tuple[Any, dict]:
+    """``parse`` of the payload in the JSON file ``path``, and the file's manifest entry.
+
+    The entry holds the path and the SHA-256 of the bytes parsed.  The
+    document is dropped on return, so it is not held while the command works.
+    """
+    doc, sha256 = serialize.read_json(path)
     if isinstance(doc, dict) and "payload" in doc:
-        return doc["payload"]
-    return doc
+        doc = doc["payload"]
+    return parse(doc), {"path": path, "sha256": sha256}
 
 
 def _env() -> dict:
@@ -90,17 +89,16 @@ def _overwrite(path: str):
                 fh.truncate()
 
 
-def _emit(args, payload: dict, inputs: dict[str, str], t0: float, **extra) -> None:
+def _emit(args, payload: dict, inputs: dict[str, dict], t0: float, **extra) -> None:
     """Write payload and manifest; ``extra`` entries go into the manifest, never the payload.
+
+    ``inputs`` maps each input's name to its ``_read_json`` manifest entry.
 
     The document goes out piece by piece, so that no whole copy of its text
     is held; ``wall_ms`` counts writing the payload.
     """
     indent = args.json_indent if args.json_indent >= 0 else None
     config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
-    # digested before the output, which may be one of the inputs, is opened
-    digests = {name: {"path": path, "sha256": serialize.sha256_file(path)}
-               for name, path in inputs.items()}
 
     def manifest(payload_sha256: str) -> dict:
         return {
@@ -108,7 +106,7 @@ def _emit(args, payload: dict, inputs: dict[str, str], t0: float, **extra) -> No
             "version": __version__,
             "seed": getattr(args, "seed", None),
             "config": config,
-            "inputs": digests,
+            "inputs": inputs,
             "payload_sha256": payload_sha256,
             "wall_ms": round((time.perf_counter() - t0) * 1000.0, 3),
             "env": _env(),
@@ -125,18 +123,19 @@ def _emit(args, payload: dict, inputs: dict[str, str], t0: float, **extra) -> No
         sys.stdout.write("\n")
 
 
-def _load_functional(args) -> tuple[np.ndarray, dict[str, str]]:
+def _load_functional(args) -> tuple[np.ndarray, dict[str, dict]]:
     if args.functional:
-        f = serialize.table_from_json(_read_json(args.functional))
-        return f, {"functional": args.functional}
+        f, source = _read_json(args.functional, serialize.table_from_json)
+        return f, {"functional": source}
     if args.preset == "chsh":
         return bell.chsh_functional(), {}
     raise SchemaError("provide -f FUNCTIONAL or --preset chsh")
 
 
-def _load_strategy(args) -> tuple[tuple, dict[str, str]]:
+def _load_strategy(args) -> tuple[tuple, dict[str, dict]]:
     if args.input:
-        return serialize.strategy_from_json(_read_json(args.input)), {"strategy": args.input}
+        strategy, source = _read_json(args.input, serialize.strategy_from_json)
+        return strategy, {"strategy": source}
     if args.preset == "chsh":
         return bell.chsh_optimal_strategy(), {}
     raise SchemaError("provide -i STRATEGY or --preset chsh")
@@ -152,13 +151,13 @@ def cmd_gen(args) -> int:
 
 def cmd_channel(args) -> int:
     t0 = time.perf_counter()
-    model = serialize.model_from_json(_read_json(args.input))
+    model, source = _read_json(args.input, serialize.model_from_json)
     max_n = _max_n()
     if args.method == "direct":
         channel = channels.channel_direct(model, max_n=max_n)
     else:
         channel = channels.channel_from_moments(channels.moment_table(model, max_n=max_n))
-    _emit(args, serialize.channel_to_json(channel), {"model": args.input}, t0)
+    _emit(args, serialize.channel_to_json(channel), {"model": source}, t0)
     if args.audit:
         report = channels.cptp_report(channel)
         print(serialize.dumps({
@@ -189,7 +188,7 @@ def _report(check: models.Check) -> dict:
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    model = serialize.model_from_json(_read_json(args.input))
+    model, source = _read_json(args.input, serialize.model_from_json)
     # --tol replaces every tolerance before any verdict is read, the gate below included
     retol = {} if args.tol is None else {"tolerance": args.tol}
     checks = [dataclasses.replace(c, **retol) for c in model.checks()]
@@ -212,7 +211,7 @@ def cmd_verify(args) -> int:
 
     all_pass = all(c.passed for c in checks) and not skipped
     payload = {"checks": [_report(c) for c in checks], "skipped": skipped, "pass": all_pass}
-    _emit(args, payload, {"model": args.input}, t0)
+    _emit(args, payload, {"model": source}, t0)
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
@@ -228,12 +227,12 @@ def _write_behaviour_csv(path: str, behaviour) -> None:
 
 def cmd_bell(args) -> int:
     t0 = time.perf_counter()
-    channel = serialize.channel_from_json(_read_json(args.input))
+    channel, source = _read_json(args.input, serialize.channel_from_json)
     report = channels.cptp_report(channel)
     models._require("channel fails its CPTP audit", (report.choi_psd, report.trace_preserving),
                     DomainError)
     behaviour = bell.behaviour_from_channel(channel)
-    _emit(args, serialize.behaviour_to_json(behaviour), {"channel": args.input}, t0)
+    _emit(args, serialize.behaviour_to_json(behaviour), {"channel": source}, t0)
     if args.csv:
         _write_behaviour_csv(args.csv, behaviour)
     return EXIT_OK
@@ -453,7 +452,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, json.JSONDecodeError, OSError,
+    except (SchemaError, OSError,
             DimensionMismatchError, DomainError, InvalidModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

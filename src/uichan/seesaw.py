@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .bell import Behaviour, bell_value, behaviour_from_channel
+from .bell import bell_value, behaviour_from_channel
 from .channels import DEFAULT_MAX_N, channel_direct
 from .errors import DimensionMismatchError, PipelineInconsistencyError
 from .linalg import _hermitian_part, dag
@@ -226,10 +226,8 @@ def optimize_bell(f: np.ndarray, cfg: SeesawConfig) -> SeesawResult:
 class LiftVerification:
     """End-to-end agreement between an optimum and its lifted channel family."""
 
-    optimizer_value: float
     lifted_value: float
     deviation: float
-    behaviour: Behaviour
 
     @property
     def ok(self) -> bool:
@@ -249,7 +247,4 @@ def lift_and_verify(result: SeesawResult, f: np.ndarray,
     _require("lifted strategy", [Check("lift_deviation", deviation, LIFT_ERROR_TOL, lambda: (
         f"lifted channel value {lifted_value:.12f} deviates from optimizer value "
         f"{result.value:.12f} by {deviation:.3e}"))], PipelineInconsistencyError)
-    return LiftVerification(
-        optimizer_value=result.value, lifted_value=lifted_value,
-        deviation=deviation, behaviour=behaviour,
-    )
+    return LiftVerification(lifted_value=lifted_value, deviation=deviation)

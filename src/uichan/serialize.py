@@ -3,11 +3,18 @@
 Matrices travel as ``{"dim": d, "re": [...], "im": [...]}`` with row-major
 entry lists; vectors reuse the same container with ``dim`` equal to their
 length.  Doubles round-trip exactly through the shortest-repr decimal
-serialization the ``json`` module uses.  Text is made in pieces, so that an
-output document goes to its file without a whole copy in memory: a list of
-plain floats is written as the ``repr`` of a few thousand entries at a time,
-separators re-indented.  ``json`` also writes each float with
-``float.__repr__``, so the bytes are the same.
+serialization the ``json`` module writes.
+
+Files are read with ``orjson`` (``read_json``): strict JSON in UTF-8, without
+a byte order mark, ``NaN`` or ``Infinity`` literals or numbers beyond the
+double range, nested at most ``MAX_NESTING`` levels deep.
+Text is written in pieces, so that an output document goes to its file
+without a whole copy in memory, and it is the text ``json.dumps`` writes.  A
+list of plain floats is written ``FLOAT_SLICE`` entries at a time with
+``orjson``, whose shortest digits equal ``float.__repr__``'s; only where
+``repr`` switches to exponent form, at magnitudes below 1e-4 or from 1e16 up,
+does ``orjson`` write another form (``1e-05`` as ``0.00001``, ``1e+16`` as
+``1e16``), so those entries are written with ``repr``.
 """
 
 from __future__ import annotations
@@ -15,9 +22,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from typing import Any, Callable, Iterator
 
 import numpy as np
+import orjson
 
 from .bell import Behaviour
 from .channels import ChannelFamily
@@ -182,7 +191,7 @@ def table_from_json(doc: dict[str, Any]) -> np.ndarray:
     return t
 
 
-FLOAT_SLICE = 4096  # floats per piece when a list of floats is written
+FLOAT_SLICE = 4096  # floats per orjson call and per piece when a list of floats is written
 
 
 def dumps(doc: Any, indent: int | None = 2) -> str:
@@ -198,19 +207,15 @@ def _pieces(o: Any, indent: int | None, pad: str) -> Iterator[str]:
 
     ``pad`` is a newline plus this level's indentation, or "" when compact.
     Non-empty lists, tuples and str-keyed dicts are written here; a list of
-    plain floats goes out as ``repr`` of ``FLOAT_SLICE`` entries at a time,
-    separators re-indented.  The rest is ``json``'s, re-indented.
+    plain floats goes out ``FLOAT_SLICE`` entries at a time (``_floats``).
+    The rest is ``json``'s, re-indented.
     """
     inner = "" if indent is None else pad + " " * indent
     sep = ", " if indent is None else "," + inner
     if type(o) is list and o and set(map(type, o)) == {float}:
         yield "[" + inner
         for start in range(0, len(o), FLOAT_SLICE):
-            part = o[start:start + FLOAT_SLICE]
-            text = repr(part)[1:-1]  # float.__repr__ per entry, as json writes them
-            if "n" in text:  # nan or inf
-                json.dumps(part, allow_nan=False)  # raises json's ValueError
-            yield (sep if start else "") + (text if indent is None else text.replace(", ", sep))
+            yield (sep if start else "") + _floats(o[start:start + FLOAT_SLICE], sep)
         yield pad + "]"
     elif isinstance(o, (list, tuple)) and o:
         yield "[" + inner
@@ -227,6 +232,23 @@ def _pieces(o: Any, indent: int | None, pad: str) -> Iterator[str]:
         yield pad + "}"
     else:
         yield json.dumps(o, indent=indent, allow_nan=False).replace("\n", pad)
+
+
+def _floats(part: list[float], sep: str) -> str:
+    """The floats ``part`` as ``json`` writes them, joined by ``sep``; a NaN or inf raises.
+
+    ``orjson`` writes the shortest digits, as ``float.__repr__`` does; the
+    entries where ``repr`` writes an exponent and ``orjson`` may not are
+    replaced by their ``repr``.
+    """
+    magnitude = np.abs(np.array(part))
+    if not np.isfinite(magnitude).all():
+        json.dumps(part, allow_nan=False)  # raises json's ValueError
+    tokens = orjson.dumps(part).decode()[1:-1].split(",")
+    exponent_form = ((0 < magnitude) & (magnitude < 1e-4)) | (magnitude >= 1e16)
+    for k in np.flatnonzero(exponent_form).tolist():
+        tokens[k] = repr(part[k])
+    return sep.join(tokens)
 
 
 def document_pieces(payload: Any, manifest: Callable[[str], dict[str, Any]],
@@ -277,9 +299,38 @@ def _require_finite(o: Any) -> None:
             _require_finite(v)
 
 
-def sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
+MAX_NESTING = 1024  # arrays and objects a read document may nest; orjson has no limit of its own
+
+
+def read_json(path: str) -> tuple[Any, str]:
+    """The JSON document in the file ``path`` and the SHA-256 of the bytes it was parsed from.
+
+    The file is read once.  Bytes that are not JSON as ``orjson`` reads it,
+    or that nest deeper than ``MAX_NESTING``, raise ``SchemaError`` naming ``path``.
+    """
     with open(path, "rb") as fh:
-        while block := fh.read(1 << 20):  # 1 MiB at a time
-            digest.update(block)
-    return digest.hexdigest()
+        data = fh.read()
+    if _nesting(data) > MAX_NESTING:
+        raise SchemaError(f"{path} nests arrays and objects deeper than {MAX_NESTING} levels")
+    try:
+        doc = orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
+        raise SchemaError(f"{path} is not valid JSON: {exc}") from None
+    return doc, hashlib.sha256(data).hexdigest()
+
+
+def _nesting(data: bytes) -> int:
+    """How deep the arrays and objects of JSON text ``data`` nest.
+
+    Only quotes, brackets, braces, backslashes and the bytes that may follow
+    a backslash in an escape are kept, so escapes stay whole and no copy of
+    a long text is made; then strings are cut out and the brackets and
+    braces left are counted.  Each step is linear in ``len(data)``: a string
+    that is not closed runs to the end.  Where ``data`` is not JSON, the
+    count is at least the depth ``orjson`` reaches before it stops.
+    """
+    kept = data.translate(None, bytes(set(range(256)) - set(b'"[{]}\\/bfnrtu')))
+    outside = re.sub(rb'"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)', b"", kept)
+    steps = outside.translate(bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff"),  # +1 and -1
+                              bytes(set(range(256)) - set(b"[{]}")))
+    return int(np.cumsum(np.frombuffer(steps, np.int8)).max(initial=0))

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -418,6 +419,19 @@ class TestChoiAndAudit:
         # the valid family passes, and its records still name its worst members
         rep = cptp_report(fam)
         assert rep.accepted and rep.choi_psd.where.startswith("least Choi eigenvalue ")
+
+    def test_overflowing_member_gets_a_nan_least_eigenvalue(self):
+        # 1e308 + 1e308 overflows in the Hermitian part; eigvalsh would not converge on it
+        fam = channel_direct(random_model("tensor", 2, 2, 2, 2, seed=5))
+        supers = np.array(fam.supers)
+        supers[1, 0].real = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = cptp_report(ChannelFamily(n=2, m=2, supers=supers))
+        assert np.isnan(rep.min_choi_eigenvalue) and np.isnan(rep.choi_psd.defect)
+        assert not rep.choi_psd.passed and not rep.trace_preserving.passed
+        assert rep.choi_psd.where == ("least Choi eigenvalue nan "
+                                      "(setting pair x=2, y=1, 1-based labels)")
 
     def test_trace_leak_names_its_input_entry(self):
         # Tr L(E_ab) = sum_u S[(u,u),(a,b)]: an entry at row (u, u) = (1, 1) and column

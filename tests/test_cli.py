@@ -312,6 +312,37 @@ class TestGenAndVerify:
         assert err.startswith(f"error: {bad} ") and len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, line", [
+        # NaN, Infinity and 1e400 were read as floats and refused as non-finite matrix entries
+        ('{"kind": "tensor", "state": {"matrix": {"re": [NaN]}}}',
+         "is not valid JSON: unexpected character: line 1 column 48 (char 47)"),
+        ('{"kind": "tensor", "state": {"matrix": {"re": [Infinity]}}}',
+         "is not valid JSON: unexpected character: line 1 column 48 (char 47)"),
+        ('{"kind": "tensor", "state": {"matrix": {"re": [1e400]}}}',
+         "is not valid JSON: number is infinity when parsed as double: line 1 column 48 "
+         "(char 47)"),
+        ('\ufeff{"kind": "tensor"}',
+         "is not valid JSON: byte order mark (BOM) is not supported: line 1 column 1 (char 0)"),
+        ('{"kind": "\\ud800"}',
+         "is not valid JSON: no matched low surrogate in string: line 1 column 17 (char 16)"),
+    ], ids=["nan", "infinity", "1e400", "bom", "lone-surrogate"])
+    def test_malformed_json_names_the_file(self, tmp_path, capsys, text, line):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["verify", "-i", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad} {line}\n"
+
+    @pytest.mark.parametrize("literal, read_as", [
+        ("18446744073709551616", "1.8446744073709552e+19"),
+        ("-9223372036854775809", "-9.223372036854776e+18")], ids=["2**64", "-2**63-1"])
+    def test_size_beyond_64_bits_is_named(self, tmp_path, capsys, literal, read_as):
+        # an integer literal outside [-2**63, 2**64) is read as a float, and named as one
+        bad = tmp_path / "bad.json"
+        doc = json.dumps(serialize.model_to_json(random_tensor_model(2, 1, 1, 1, seed=1)))
+        bad.write_text(doc.replace('"n": 2', f'"n": {literal}', 1))
+        assert main(["verify", "-i", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: n must be a JSON integer, got {read_as}\n"
+
     @pytest.mark.parametrize("document", ["model", "strategy", "channel", "table", "matrix"])
     def test_size_fields_must_be_json_integers(self, tmp_path, capsys, document):
         # 2.9 and "2" used to be read as 2, and true as 1
@@ -645,6 +676,31 @@ class TestOneFailureText:
             "(setting pair x=1, y=1, 1-based labels); trace_preserving failed: worst "
             "|Tr L(E_ab) - delta_ab| 1.700e+308 at (a, b)=(1, 1) (setting pair x=1, y=1, "
             "1-based labels)\n")
+        assert not beh.exists()
+
+    @pytest.mark.parametrize("overflow, pair", [("all", "x=1, y=2"), ("one", "x=2, y=1")],
+                             ids=["all-1e308", "one-1.7e308"])
+    def test_bell_on_overflowing_entries_warns_nothing(self, tmp_path, capsys, overflow, pair):
+        # one member's real parts all 1e308 used to end in LinAlgError; one entry of 1.7e308
+        # printed two RuntimeWarning lines
+        model, chan, beh = tmp_path / "model.json", tmp_path / "chan.json", tmp_path / "beh.json"
+        assert main(["gen", "--dA", "2", "--dB", "2", "--seed", "4", "-o", str(model)]) == 0
+        assert main(["channel", "-i", str(model), "-o", str(chan)]) == 0
+        doc = read_payload(chan)
+        if overflow == "all":
+            doc["super"][0][1]["re"] = [1e308] * len(doc["super"][0][1]["re"])
+        else:
+            doc["super"][1][0]["re"][5] = 1.7e308
+        chan.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["bell", "-i", str(chan), "-o", str(beh)]) == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: channel fails its CPTP audit: choi_psd failed: least Choi eigenvalue nan "
+            f"(setting pair {pair}, 1-based labels); trace_preserving failed: "), err
         assert not beh.exists()
 
     def test_seesaw_reads_uichan_max_n_before_optimizing(self, tmp_path, capsys, monkeypatch):

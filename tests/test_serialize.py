@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+import time
 
 import numpy as np
 import pytest
@@ -199,10 +201,14 @@ class TestDumps:
         assert text == json.dumps({"payload": payload, "manifest": manifest(want)}, indent=indent)
 
     def test_digests(self, tmp_path):
-        path = tmp_path / "blob"
-        data = np.random.default_rng(0).bytes(3 * (1 << 20) + 12345)  # over 1 MiB, not a multiple
+        # the digest is of the bytes that were parsed, here a few MB of them
+        path = tmp_path / "blob.json"
+        data = json.dumps({"p": np.random.default_rng(0).standard_normal(150_000).tolist()},
+                          indent=1).encode()
         path.write_bytes(data)
-        assert serialize.sha256_file(str(path)) == hashlib.sha256(data).hexdigest()
+        doc, digest = serialize.read_json(str(path))
+        assert digest == hashlib.sha256(data).hexdigest()
+        assert doc == json.loads(data)
 
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 1e300, -1e300, 1e-300, -1e-300]
@@ -235,3 +241,116 @@ class TestDumpsEqualsJson:
                     beyond_a_piece):
             with pytest.raises(ValueError):
                 serialize.dumps(doc, indent)
+
+
+def float_corpus():
+    """Finite doubles: 200,000 random bit patterns and the edges of ``repr``'s two forms.
+
+    The edges are the ulp neighbours of 1e-4 and 1e16, where ``repr`` switches
+    between plain and exponent form, of the smallest and largest doubles,
+    every power of 2 and of 10, and every integer within +-1e5, each with both signs.
+    """
+    rng = np.random.default_rng(29)
+    bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64, endpoint=False).view(float)
+    edges = []
+    for x in (1e-4, 1e16, 5e-324, np.finfo(float).max):
+        edges.append(x)
+        for toward in (0.0, np.inf):
+            step = x
+            for _ in range(8):  # past the largest double it steps to inf, dropped below
+                with np.errstate(over="ignore"):
+                    step = np.nextafter(step, toward)
+                edges.append(step)
+    powers = [2.0 ** k for k in range(-1074, 1024)] + [float(f"1e{k}") for k in range(-323, 309)]
+    edges = np.concatenate([edges, powers, np.arange(-100_000, 100_001, dtype=float)])
+    corpus = np.concatenate([bits, edges, -edges])
+    return corpus[np.isfinite(corpus)].tolist()
+
+
+class TestFloatTextEqualsJson:
+    """``orjson`` writes the digits and ``repr`` the exponent forms: the text is ``json``'s."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return float_corpus()
+
+    @pytest.mark.parametrize("indent", [2, None])
+    def test_dumps(self, corpus, indent):
+        if serialize.dumps(corpus, indent) != json.dumps(corpus, indent=indent):
+            pairs = zip(corpus, serialize.dumps(corpus, None)[1:-1].split(", "))
+            wrong = [(x, text) for x, text in pairs if text != repr(x)]
+            pytest.fail(f"{len(wrong)} floats are not written as json writes them: {wrong[:5]}")
+
+    def test_reader_reads_json_bits(self, corpus, tmp_path):
+        path = tmp_path / "corpus.json"
+        text = json.dumps({"p": corpus}, indent=2)
+        path.write_text(text)
+        doc, _ = serialize.read_json(str(path))
+        assert same_bits(np.array(doc["p"]), np.array(json.loads(text)["p"]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_raises_before_a_piece(self, corpus, bad):
+        payload = {"p": corpus[:3 * serialize.FLOAT_SLICE] + [bad]}  # in the list's last slice
+        with pytest.raises(ValueError) as expected:
+            json.dumps(bad, allow_nan=False)
+        with pytest.raises(ValueError) as raised:
+            serialize.document_pieces(payload, lambda digest: {})  # the call, not its pieces
+        assert str(raised.value) == str(expected.value)
+        with pytest.raises(ValueError):
+            serialize.dumps(payload["p"])
+
+
+class TestReadJson:
+    def test_nesting_limit(self, tmp_path):
+        path, depth = tmp_path / "nested.json", serialize.MAX_NESTING
+        for opener, closer in (("[", "]"), ('{"a": ', "}")):
+            path.write_text(opener * depth + "1" + closer * depth)
+            serialize.read_json(str(path))
+            path.write_text(opener * (depth + 1) + "1" + closer * (depth + 1))
+            with pytest.raises(SchemaError, match=re.escape(
+                    f"{path} nests arrays and objects deeper than {depth} levels")):
+                serialize.read_json(str(path))
+
+    def test_many_shallow_brackets_read(self, tmp_path):
+        # more brackets than the limit, none deep, brackets and escaped quotes in strings
+        path = tmp_path / "shallow.json"
+        doc = {"rows": [[k, "[{" * 3, '\\"]]'] for k in range(3000)], "]": "[" * 5000}
+        path.write_text(json.dumps(doc))
+        assert serialize.read_json(str(path))[0] == doc
+
+    def test_closers_in_a_string_hide_no_depth(self, tmp_path):
+        # counted, the 3000 "]" of the string would cancel the 2000 openers that follow
+        path = tmp_path / "hidden.json"
+        path.write_text('["' + "]" * 3000 + '", ' + '{"a": ' * 2000 + "1" + "}" * 2000 + "]")
+        with pytest.raises(SchemaError, match="nests arrays and objects deeper than"):
+            serialize.read_json(str(path))
+
+    @pytest.mark.parametrize("escape", ["\\/", "\\b", "\\f", "\\n", "\\r", "\\t", "\\u005c",
+                                        "\\\\", '\\"'])
+    def test_a_string_ending_in_an_escape_hides_no_depth(self, tmp_path, escape):
+        # read as a quote's escape, the string's closing quote would hide the 1025 levels
+        path = tmp_path / "escape.json"
+        depth = serialize.MAX_NESTING
+        path.write_text('["x' + escape + '", ' + "[" * depth + "]" * depth + "]")
+        with pytest.raises(SchemaError, match="nests arrays and objects deeper than"):
+            serialize.read_json(str(path))
+        path.write_text('["x' + escape + '", ' + "[" * (depth - 1) + "]" * (depth - 1) + "]")
+        assert serialize.read_json(str(path))[0][0] == json.loads('"x' + escape + '"')
+
+    @pytest.mark.parametrize("openers", [10, 1100], ids=["shallow", "deep"])
+    def test_unclosed_string_of_escaped_quotes_is_refused_at_once(self, tmp_path, openers):
+        # a string cut that fails at each '"' and rescans to the end takes minutes on this file
+        path = tmp_path / "unclosed.json"
+        path.write_bytes(b"[" * openers + b'"' + b'\\"' * 500_000)
+        start = time.perf_counter()
+        with pytest.raises(SchemaError, match="is not valid JSON" if openers < 1024 else
+                           "nests arrays and objects deeper than"):
+            serialize.read_json(str(path))
+        assert time.perf_counter() - start < 5
+
+    def test_deep_objects_are_refused_before_parsing(self, tmp_path):
+        # orjson 3.8 has no depth limit: 100,000 nested objects end it with a segmentation fault
+        path = tmp_path / "deep.json"
+        path.write_text('{"a": ' * 100_000 + "1" + "}" * 100_000)
+        with pytest.raises(SchemaError, match="nests arrays and objects deeper than"):
+            serialize.read_json(str(path))
