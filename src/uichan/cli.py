@@ -72,16 +72,16 @@ def _env() -> dict:
 
 @contextlib.contextmanager
 def _overwrite(path: str):
-    """A UTF-8 text file written over ``path`` in place, then cut to the bytes written.
+    """A binary file written over ``path`` in place, then cut to the bytes written.
 
-    Like ``open(path, "w")``, but the file is not truncated at open: on ext4
+    Like ``open(path, "wb")``, but the file is not truncated at open: on ext4
     that waits for the disk to settle the earlier contents (README, "File
     formats").  The inode, mode and hard links are kept and symlinks are
     followed.  The cut runs however the write ends, so an interrupted write
     leaves a prefix of the new text and no old tail; a device or FIFO is not cut.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="utf-8") as fh:
+    with open(fd, "wb") as fh:
         try:
             yield fh
         finally:
@@ -117,9 +117,9 @@ def _emit(args, payload: dict, inputs: dict[str, dict], t0: float, **extra) -> N
     if getattr(args, "output", None):
         with _overwrite(args.output) as fh:
             fh.writelines(pieces)
-            fh.write("\n")
+            fh.write(b"\n")
     else:
-        sys.stdout.writelines(pieces)
+        sys.stdout.writelines(piece.decode() for piece in pieces)
         sys.stdout.write("\n")
 
 
@@ -222,7 +222,7 @@ def _write_behaviour_csv(path: str, behaviour) -> None:
         value = max(0.0, float(behaviour.p[a, b, x, y]))
         lines.append(f"{a + 1},{b + 1},{x + 1},{y + 1},{value!r}")
     with _overwrite(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(("\n".join(lines) + "\n").encode())
 
 
 def cmd_bell(args) -> int:

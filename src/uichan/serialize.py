@@ -3,18 +3,24 @@
 Matrices travel as ``{"dim": d, "re": [...], "im": [...]}`` with row-major
 entry lists; vectors reuse the same container with ``dim`` equal to their
 length.  Doubles round-trip exactly through the shortest-repr decimal
-serialization the ``json`` module writes.
+serialization the ``json`` module writes.  The ``*_to_json`` documents hold
+their floats as contiguous float64 arrays (``re``, ``im`` and a behaviour's
+``p``), which ``dumps`` and ``document_pieces`` write as the nested lists a
+file holds; ``json.dump`` refuses them.
 
 Files are read with ``orjson`` (``read_json``): strict JSON in UTF-8, without
 a byte order mark, ``NaN`` or ``Infinity`` literals or numbers beyond the
 double range, nested at most ``MAX_NESTING`` levels deep.
-Text is written in pieces, so that an output document goes to its file
-without a whole copy in memory, and it is the text ``json.dumps`` writes.  A
-list of plain floats is written ``FLOAT_SLICE`` entries at a time with
+Text is written in pieces of ASCII bytes, so that an output document goes to
+its file without a whole copy in memory, and it is the text ``json.dumps``
+writes of the document with each array as its list.  Each row of floats is
+written ``FLOAT_SLICE`` entries at a time straight from its array by
 ``orjson``, whose shortest digits equal ``float.__repr__``'s; only where
-``repr`` switches to exponent form, at magnitudes below 1e-4 or from 1e16 up,
-does ``orjson`` write another form (``1e-05`` as ``0.00001``, ``1e+16`` as
-``1e16``), so those entries are written with ``repr``.
+``repr`` switches to exponent form, at magnitudes below 1e-4 or from 1e16
+up, does ``orjson`` write another form (``1e-05`` as ``0.00001``, ``1e+16``
+as ``1e16``), so those entries are written with ``repr`` and ``orjson``
+writes the runs between them.  A list of plain floats is made an array and
+written the same way.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ def matrix_to_json(M: np.ndarray) -> dict[str, Any]:
     else:
         raise DimensionMismatchError(f"expected vector or square matrix, got shape {A.shape}")
     flat = A.reshape(-1)
-    return {"dim": int(dim), "re": flat.real.tolist(), "im": flat.imag.tolist()}
+    return {"dim": int(dim), "re": flat.real.copy(), "im": flat.imag.copy()}
 
 
 def matrix_from_json(doc: dict[str, Any]) -> np.ndarray:
@@ -174,7 +180,7 @@ def channel_from_json(doc: dict[str, Any]) -> ChannelFamily:
 
 
 def behaviour_to_json(behaviour: Behaviour) -> dict[str, Any]:
-    return {"n": behaviour.n, "m": behaviour.m, "p": behaviour.p.tolist()}
+    return {"n": behaviour.n, "m": behaviour.m, "p": behaviour.p.copy()}
 
 
 def table_from_json(doc: dict[str, Any]) -> np.ndarray:
@@ -191,100 +197,127 @@ def table_from_json(doc: dict[str, Any]) -> np.ndarray:
     return t
 
 
-FLOAT_SLICE = 4096  # floats per orjson call and per piece when a list of floats is written
+FLOAT_SLICE = 4096  # floats per piece when a row of floats is written
 
 
 def dumps(doc: Any, indent: int | None = 2) -> str:
     """``json.dumps(doc, indent=indent, allow_nan=False)``, byte for byte.
 
-    Joined from the pieces ``document_pieces`` writes a payload in.
+    A numpy array in ``doc`` is written as its nested lists.  Joined from the
+    pieces ``document_pieces`` writes a payload in.
     """
-    return "".join(_pieces(doc, indent, "" if indent is None else "\n"))
+    return b"".join(_pieces(doc, indent, b"" if indent is None else b"\n")).decode()
 
 
-def _pieces(o: Any, indent: int | None, pad: str) -> Iterator[str]:
+def _pieces(o: Any, indent: int | None, pad: bytes) -> Iterator[bytes]:
     """``json.dumps(o, indent=indent, allow_nan=False)`` in pieces, nested at ``pad``.
 
-    ``pad`` is a newline plus this level's indentation, or "" when compact.
-    Non-empty lists, tuples and str-keyed dicts are written here; a list of
-    plain floats goes out ``FLOAT_SLICE`` entries at a time (``_floats``).
-    The rest is ``json``'s, re-indented.
+    The text is ASCII, as ``json`` writes it, so the pieces are bytes.
+    ``pad`` is a newline plus this level's indentation, or empty when compact.
+    Non-empty lists, tuples, arrays and str-keyed dicts are written here.  A
+    float64 array of any rank is written as nested lists, each row of it
+    ``FLOAT_SLICE`` entries at a time (``_floats``); so is a list of plain
+    floats.  The rest is ``json``'s, re-indented, with an array as its list.
     """
-    inner = "" if indent is None else pad + " " * indent
-    sep = ", " if indent is None else "," + inner
+    inner = b"" if indent is None else pad + b" " * indent
+    sep = b", " if indent is None else b"," + inner
     if type(o) is list and o and set(map(type, o)) == {float}:
-        yield "[" + inner
-        for start in range(0, len(o), FLOAT_SLICE):
-            yield (sep if start else "") + _floats(o[start:start + FLOAT_SLICE], sep)
-        yield pad + "]"
-    elif isinstance(o, (list, tuple)) and o:
-        yield "[" + inner
+        o = np.array(o)
+    if type(o) is np.ndarray and o.dtype == np.float64 and o.ndim == 1 and len(o):
+        row = np.ascontiguousarray(o)
+        yield b"[" + inner
+        for start in range(0, len(row), FLOAT_SLICE):
+            yield _floats(row[start:start + FLOAT_SLICE], sep, lead=start > 0)
+        yield pad + b"]"
+    elif (isinstance(o, (list, tuple)) and o) or (type(o) is np.ndarray and o.ndim > 1 and len(o)):
+        yield b"[" + inner
         for k, v in enumerate(o):
             if k:
                 yield sep
             yield from _pieces(v, indent, inner)
-        yield pad + "]"
+        yield pad + b"]"
     elif isinstance(o, dict) and o and all(isinstance(key, str) for key in o):
-        yield "{" + inner
+        yield b"{" + inner
         for k, (key, v) in enumerate(o.items()):
-            yield (sep if k else "") + json.dumps(key) + ": "
+            yield (sep if k else b"") + json.dumps(key).encode() + b": "
             yield from _pieces(v, indent, inner)
-        yield pad + "}"
+        yield pad + b"}"
     else:
-        yield json.dumps(o, indent=indent, allow_nan=False).replace("\n", pad)
+        if type(o) is np.ndarray:
+            o = o.tolist()  # empty, or holding no float64
+        yield json.dumps(o, indent=indent, allow_nan=False).encode().replace(b"\n", pad)
 
 
-def _floats(part: list[float], sep: str) -> str:
-    """The floats ``part`` as ``json`` writes them, joined by ``sep``; a NaN or inf raises.
+def _floats(row: np.ndarray, sep: bytes, lead: bool) -> bytes:
+    """The floats of the 1-D float64 array ``row`` as ``json`` writes them, joined by ``sep``.
 
-    ``orjson`` writes the shortest digits, as ``float.__repr__`` does; the
-    entries where ``repr`` writes an exponent and ``orjson`` may not are
-    replaced by their ``repr``.
+    ``sep`` comes first too when ``lead`` is true.  ``orjson`` writes the
+    shortest digits, as ``float.__repr__`` does, except where ``repr`` writes
+    an exponent: at magnitudes below 1e-4 and from 1e16 up.  Each run between
+    such entries is written by ``orjson`` straight from the array, and each
+    such entry by ``repr``.  A NaN or inf raises.
     """
-    magnitude = np.abs(np.array(part))
+    magnitude = np.abs(row)
     if not np.isfinite(magnitude).all():
-        json.dumps(part, allow_nan=False)  # raises json's ValueError
-    tokens = orjson.dumps(part).decode()[1:-1].split(",")
+        _raise_non_finite(row)
     exponent_form = ((0 < magnitude) & (magnitude < 1e-4)) | (magnitude >= 1e16)
+    runs = [b""] if lead else []
+    start = 0
     for k in np.flatnonzero(exponent_form).tolist():
-        tokens[k] = repr(part[k])
-    return sep.join(tokens)
+        if start < k:
+            runs.append(orjson.dumps(row[start:k], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1])
+        runs.append(repr(float(row[k])).encode())
+        start = k + 1
+    if start < len(row):
+        runs.append(orjson.dumps(row[start:], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1])
+    return b",".join(runs).replace(b",", sep)
+
+
+def _raise_non_finite(a: np.ndarray) -> None:
+    """Raise ``json``'s ``ValueError`` for the first NaN or infinite entry of ``a``."""
+    json.dumps(a[~np.isfinite(a)].tolist(), allow_nan=False)
 
 
 def document_pieces(payload: Any, manifest: Callable[[str], dict[str, Any]],
-                    indent: int | None = 2) -> Iterator[str]:
+                    indent: int | None = 2) -> Iterator[bytes]:
     """``dumps({"payload": payload, "manifest": manifest(payload_sha256)}, indent)`` in pieces.
 
-    ``payload_sha256`` is the SHA-256 of ``dumps(payload, indent)``, hashed
-    piece by piece as the payload goes out; ``manifest`` is called after the
-    last payload piece.  No piece holds more than ``FLOAT_SLICE`` floats of
-    the payload.  A NaN or infinite float in the payload raises
-    ``ValueError`` in this call, before any piece is made.
+    The pieces are bytes of ASCII text.  ``payload_sha256`` is the SHA-256 of
+    ``dumps(payload, indent)``, hashed piece by piece as the payload goes
+    out; ``manifest`` is called after the last payload piece.  No piece holds
+    more than ``FLOAT_SLICE`` floats of the payload.  A NaN or infinite float
+    in the payload raises ``ValueError`` in this call, before any piece is made.
     """
     _require_finite(payload)
     return _document(payload, manifest, indent)
 
 
 def _document(payload: Any, manifest: Callable[[str], dict[str, Any]],
-              indent: int | None) -> Iterator[str]:
-    pad = "" if indent is None else "\n" + " " * indent
+              indent: int | None) -> Iterator[bytes]:
+    pad = b"" if indent is None else b"\n" + b" " * indent
     digest = hashlib.sha256()
-    yield "{" + pad + '"payload": '
-    for piece in _pieces(payload, indent, "" if indent is None else "\n"):
-        digest.update(piece.encode("utf-8"))
-        yield piece.replace("\n", pad)  # one level deeper: each line break gains a step
-    manifest_text = dumps(manifest(digest.hexdigest()), indent).replace("\n", pad)
+    yield b"{" + pad + b'"payload": '
+    for piece in _pieces(payload, indent, b"" if indent is None else b"\n"):
+        digest.update(piece)
+        yield piece.replace(b"\n", pad)  # one level deeper: each line break gains a step
+    manifest_text = dumps(manifest(digest.hexdigest()), indent).encode().replace(b"\n", pad)
     if indent is None:
-        yield ', "manifest": ' + manifest_text + "}"
+        yield b', "manifest": ' + manifest_text + b"}"
     else:
-        yield "," + pad + '"manifest": ' + manifest_text + "\n}"
+        yield b"," + pad + b'"manifest": ' + manifest_text + b"\n}"
 
 
 def _require_finite(o: Any) -> None:
-    """Raise ``json``'s ``ValueError`` if ``o`` holds a NaN or infinite float, as ``dumps`` does."""
+    """Raise ``json``'s ``ValueError`` if ``o`` holds a NaN or infinite float, as ``dumps`` does.
+
+    An array is checked with one ``np.isfinite`` scan.
+    """
     if isinstance(o, float):
         if not math.isfinite(o):
             json.dumps(o, allow_nan=False)  # raises
+    elif type(o) is np.ndarray:
+        if o.dtype.kind == "f" and not np.isfinite(o).all():
+            _raise_non_finite(o)
     elif isinstance(o, dict):
         for key, value in o.items():
             _require_finite(key)
@@ -306,7 +339,9 @@ def read_json(path: str) -> tuple[Any, str]:
     """The JSON document in the file ``path`` and the SHA-256 of the bytes it was parsed from.
 
     The file is read once.  Bytes that are not JSON as ``orjson`` reads it,
-    or that nest deeper than ``MAX_NESTING``, raise ``SchemaError`` naming ``path``.
+    or that nest deeper than ``MAX_NESTING``, raise ``SchemaError`` naming ``path``;
+    bytes that are not UTF-8 are named by the codec, which gives the first
+    bad byte and its position.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -315,6 +350,10 @@ def read_json(path: str) -> tuple[Any, str]:
     try:
         doc = orjson.loads(data)
     except orjson.JSONDecodeError as exc:
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as codec:
+            raise SchemaError(f"{path} is not UTF-8 text: {codec}") from None
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
     return doc, hashlib.sha256(data).hexdigest()
 

@@ -1,6 +1,7 @@
 """Independent reference computations that the tests compare the library against."""
 
 import itertools
+import json
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +26,15 @@ def permute_registers(M: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -
         raise DimensionMismatchError(f"perm {p} is not a bijection on {r} registers")
     axes = list(p) + [r + i for i in p]
     return A.reshape(ds + ds).transpose(axes).reshape(A.shape)
+
+
+def as_json(doc):
+    """``doc`` as a file holds it: the arrays of a ``serialize`` document become plain lists.
+
+    ``json.loads`` of the compact text ``serialize.dumps`` writes, which is
+    ``json.dumps`` of the document with every array as its list.
+    """
+    return json.loads(serialize.dumps(doc, None))
 
 
 def behaviour_from_json(doc: dict) -> Behaviour:

@@ -18,7 +18,7 @@ from uichan.cli import MAX_JSON_INDENT, main
 from uichan.models import (CommutingModel, TensorModel, embed_tensor_as_commuting,
                            random_tensor_model)
 
-from oracles import anti_hermitian_choi_channel, behaviour_from_json
+from oracles import anti_hermitian_choi_channel, as_json, behaviour_from_json
 
 CHSH_OPTIMUM = (2 + np.sqrt(2)) / 4
 
@@ -39,7 +39,8 @@ def write_haar_v(doc, path, seed=0):
     of that V no longer commute with those of U.
     """
     haar = linalg.haar_unitary_from(linalg.rng_from_seed(seed), doc["n"] * doc["d"])
-    path.write_text(json.dumps(dict(doc, V=[serialize.matrix_to_json(haar), *doc["V"][1:]])))
+    V0 = as_json(serialize.matrix_to_json(haar))
+    path.write_text(json.dumps(dict(doc, V=[V0, *doc["V"][1:]])))
     return path
 
 
@@ -97,8 +98,8 @@ class TestGenAndVerify:
 
     def test_file_cannot_borrow_the_embeddings_zero(self, tmp_path):
         # the embedding carries its commutator 0 in memory only; its file is measured again
-        doc = serialize.model_to_json(embed_tensor_as_commuting(random_tensor_model(2, 2, 2, 2,
-                                                                                    seed=4)))
+        doc = as_json(serialize.model_to_json(
+            embed_tensor_as_commuting(random_tensor_model(2, 2, 2, 2, seed=4))))
         plain, report = tmp_path / "plain.json", tmp_path / "report.json"
         plain.write_text(json.dumps(doc))
         assert main(["verify", "-i", str(plain), "-o", str(report)]) == 0
@@ -262,7 +263,7 @@ class TestGenAndVerify:
         assert linalg.tol(2) < tm.checks()[0].defect <= linalg.tol(8)
         tm.check()
         path, report = tmp_path / "model.json", tmp_path / "report.json"
-        path.write_text(json.dumps(serialize.model_to_json(tm)))
+        path.write_text(json.dumps(as_json(serialize.model_to_json(tm))))
         # the scaled V leaks trace at 2e-10, so verify still fails on trace_preserving
         main(["verify", "-i", str(path), "-o", str(report)])
         unitarity = next(c for c in read_payload(report)["checks"] if c["name"] == "unitarity")
@@ -332,13 +333,22 @@ class TestGenAndVerify:
         assert main(["verify", "-i", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: {bad} {line}\n"
 
+    def test_non_utf8_input_names_its_first_bad_byte(self, tmp_path, capsys):
+        # orjson names a surrogate at char 0 for any bad byte; the codec names the byte
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"a": "\xc3\x28"}')
+        assert main(["verify", "-i", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad} is not UTF-8 text: 'utf-8' codec can't decode byte 0xc3 in position 7: "
+            "invalid continuation byte\n")
+
     @pytest.mark.parametrize("literal, read_as", [
         ("18446744073709551616", "1.8446744073709552e+19"),
         ("-9223372036854775809", "-9.223372036854776e+18")], ids=["2**64", "-2**63-1"])
     def test_size_beyond_64_bits_is_named(self, tmp_path, capsys, literal, read_as):
         # an integer literal outside [-2**63, 2**64) is read as a float, and named as one
         bad = tmp_path / "bad.json"
-        doc = json.dumps(serialize.model_to_json(random_tensor_model(2, 1, 1, 1, seed=1)))
+        doc = json.dumps(as_json(serialize.model_to_json(random_tensor_model(2, 1, 1, 1, seed=1))))
         bad.write_text(doc.replace('"n": 2', f'"n": {literal}', 1))
         assert main(["verify", "-i", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: n must be a JSON integer, got {read_as}\n"
@@ -348,18 +358,20 @@ class TestGenAndVerify:
         # 2.9 and "2" used to be read as 2, and true as 1
         tm = random_tensor_model(2, 2, 2, 2, seed=5)
         docs = {
-            "model": (["verify", "-i"], serialize.model_to_json(tm), ["n", "m", "dA", "dB"]),
+            "model": (["verify", "-i"], as_json(serialize.model_to_json(tm)),
+                      ["n", "m", "dA", "dB"]),
             "strategy": (["bell-direct", "-i"],
-                         serialize.strategy_to_json(*bell.chsh_optimal_strategy()),
+                         as_json(serialize.strategy_to_json(*bell.chsh_optimal_strategy())),
                          ["n", "m", "dA", "dB"]),
-            "channel": (["bell", "-i"], serialize.channel_to_json(channels.channel_direct(tm)),
+            "channel": (["bell", "-i"],
+                        as_json(serialize.channel_to_json(channels.channel_direct(tm))),
                         ["n", "m"]),
             "table": (["seesaw", "--restarts", "1", "-f"],
                       {"n": 2, "m": 2, "p": bell.chsh_functional().tolist()}, ["n", "m"]),
-            "matrix": (["verify", "-i"], serialize.model_to_json(tm), ["dim"]),
+            "matrix": (["verify", "-i"], as_json(serialize.model_to_json(tm)), ["dim"]),
         }
         argv, doc, fields = docs[document]
-        commuting = serialize.model_to_json(embed_tensor_as_commuting(tm))
+        commuting = as_json(serialize.model_to_json(embed_tensor_as_commuting(tm)))
         cases = [(doc, field) for field in fields] + [(commuting, "d")] * (document == "model")
         out = tmp_path / "out.json"
         for k, (base, field) in enumerate(cases):
@@ -653,7 +665,8 @@ class TestOneFailureText:
         # a real input for main's exit-1 handler: the audit reads only the Hermitian part of
         # the Choi matrix, so it passes a channel whose extracted table is not real
         chan, beh = tmp_path / "chan.json", tmp_path / "beh.json"
-        chan.write_text(json.dumps(serialize.channel_to_json(anti_hermitian_choi_channel(1e-3))))
+        channel = as_json(serialize.channel_to_json(anti_hermitian_choi_channel(1e-3)))
+        chan.write_text(json.dumps(channel))
         assert main(["bell", "-i", str(chan), "-o", str(beh)]) == 1
         assert capsys.readouterr().err == (
             "check failed: extracted behaviour: imaginary_residue failed: largest |Im p(ab|xy)| "
@@ -730,7 +743,7 @@ class TestBellCommands:
         # write the preset strategy out through the pipeline command files
         from uichan.bell import chsh_optimal_strategy
         alice, bob, psi = chsh_optimal_strategy()
-        strat.write_text(json.dumps(serialize.strategy_to_json(alice, bob, psi)))
+        strat.write_text(json.dumps(as_json(serialize.strategy_to_json(alice, bob, psi))))
 
         assert main(["pipeline", "-i", str(strat), "--preset", "chsh",
                      "-o", str(tmp_path / "pipe.json")]) == 0
@@ -745,8 +758,8 @@ class TestBellCommands:
         bob = models.random_pvm_family(3, 2, 2, seed=4)
         psi = linalg.haar_state_vector(linalg.rng_from_seed(5), 6)
         strat = tmp_path / "strategy.json"
-        strat.write_text(json.dumps(serialize.strategy_to_json(alice, bob, psi)))
-        expected = serialize.behaviour_to_json(behaviour_direct(alice, bob, psi))
+        strat.write_text(json.dumps(as_json(serialize.strategy_to_json(alice, bob, psi))))
+        expected = as_json(serialize.behaviour_to_json(behaviour_direct(alice, bob, psi)))
         for command, key in (("bell-direct", None), ("pipeline", "behaviour_direct")):
             out = tmp_path / f"{command}.json"
             assert main([command, "-i", str(strat), "--preset", "chsh", "-o", str(out)]) == 0
@@ -801,7 +814,7 @@ class TestBellCommands:
             P[0, 0] = 3 * np.eye(2)
             alice = models.PVMFamily(d=2, m=2, n=2, projectors=P)
         strat, functional = tmp_path / "strategy.json", tmp_path / "chsh.json"
-        strat.write_text(json.dumps(serialize.strategy_to_json(alice, bob, psi)))
+        strat.write_text(json.dumps(as_json(serialize.strategy_to_json(alice, bob, psi))))
         functional.write_text(json.dumps({"n": 2, "m": 2, "p": chsh_functional().tolist()}))
         argv = [command, "-i", str(strat), "-o", str(tmp_path / "out.json")]
         if command == "pipeline":
@@ -1056,8 +1069,8 @@ class TestEmitStreamsTheDocument:
         monkeypatch.setattr(serialize, "document_pieces", failing)
         with pytest.raises(KeyboardInterrupt):
             self.emit(out, self.payload())
-        assert out.read_text() == "".join(written)
-        assert json.dumps({"payload": self.payload()}, indent=2).startswith("".join(written))
+        assert out.read_bytes() == b"".join(written)
+        assert json.dumps({"payload": self.payload()}, indent=2).startswith(b"".join(written).decode())
 
 
 class TestSwapDemo:

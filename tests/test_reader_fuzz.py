@@ -17,6 +17,8 @@ import pytest
 
 from uichan import channels, cli, models, serialize
 
+from oracles import as_json
+
 VALUES = [None, True, 0, -1, 3, 2.5, 1e300, -1e300, float("nan"), float("inf"), "2", "", [], {}]
 DELETE = object()
 
@@ -55,10 +57,11 @@ def documents():
     state = np.array([1.0, 0.0], dtype=complex)
     channel = channels.ChannelFamily(n=2, m=1, supers=np.eye(16)[None, None])  # the identity
     return [
-        ("tensor", ["verify", "-i"], serialize.model_to_json(tm)),
-        ("commuting", ["verify", "-i"], serialize.model_to_json(cm)),
-        ("channel", ["bell", "-i"], serialize.channel_to_json(channel)),
-        ("strategy", ["bell-direct", "-i"], serialize.strategy_to_json(alice, bob, state)),
+        ("tensor", ["verify", "-i"], as_json(serialize.model_to_json(tm))),
+        ("commuting", ["verify", "-i"], as_json(serialize.model_to_json(cm))),
+        ("channel", ["bell", "-i"], as_json(serialize.channel_to_json(channel))),
+        ("strategy", ["bell-direct", "-i"],
+         as_json(serialize.strategy_to_json(alice, bob, state))),
         ("functional", ["pipeline", "-i", "STRATEGY", "-f"],
          {"n": 2, "m": 1, "p": np.ones((2, 2, 1, 1)).tolist()}),
     ]

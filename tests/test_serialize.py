@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,18 +16,18 @@ from uichan.models import (TensorModel, embed_tensor_as_commuting, random_model,
                            random_pvm_family, random_tensor_model)
 from uichan.serialize import SchemaError
 
-from oracles import behaviour_from_json
+from oracles import as_json, behaviour_from_json
 
 
 class TestMatrixRoundTrip:
     def test_matrix_exact(self):
         M = linalg.haar_unitary_from(linalg.rng_from_seed(5), 3)
-        back = serialize.matrix_from_json(json.loads(json.dumps(serialize.matrix_to_json(M))))
+        back = serialize.matrix_from_json(as_json(serialize.matrix_to_json(M)))
         assert np.array_equal(M, back)
 
     def test_vector_exact(self):
         v = linalg.haar_state_vector(linalg.rng_from_seed(6), 5)
-        back = serialize.matrix_from_json(json.loads(json.dumps(serialize.matrix_to_json(v))))
+        back = serialize.matrix_from_json(as_json(serialize.matrix_to_json(v)))
         assert back.ndim == 1
         assert np.array_equal(v, back)
 
@@ -103,19 +104,19 @@ class TestBitExactRoundTrips:
         model = TensorModel(n=2, m=2, dA=2, dB=3, state=sample_state(state, 6, 15), U=tm.U, V=tm.V)
         if kind == "commuting":
             model = embed_tensor_as_commuting(model)  # its identity factors hold signed zeros
-        text = json.dumps(serialize.model_to_json(model))
+        text = json.dumps(as_json(serialize.model_to_json(model)))
         back = serialize.model_from_json(json.loads(text))
         assert type(back) is type(model)
         for name in ("state", "U", "V"):
             assert same_bits(getattr(back, name), getattr(model, name))
-        assert json.dumps(serialize.model_to_json(back)) == text
+        assert json.dumps(as_json(serialize.model_to_json(back))) == text
 
     @pytest.mark.parametrize("state", ["vector", "full-rank", "rank-deficient"])
     def test_strategy(self, state):
         alice = random_pvm_family(3, 2, 3, seed=16)
         bob = random_pvm_family(2, 2, 3, seed=17)  # d < n: one zero projector per setting
         rho = sample_state(state, 6, 18)
-        text = json.dumps(serialize.strategy_to_json(alice, bob, rho))
+        text = json.dumps(as_json(serialize.strategy_to_json(alice, bob, rho)))
         a2, b2, rho2 = serialize.strategy_from_json(json.loads(text))
         assert same_bits(a2.projectors, alice.projectors)
         assert same_bits(b2.projectors, bob.projectors)
@@ -125,7 +126,7 @@ class TestBitExactRoundTrips:
         M = np.array([[complex(-0.0, -0.0), complex(1.0, -0.0)],
                       [complex(-0.0, 1.0), complex(0.0, 0.0)]])
         assert np.signbit(M.real).sum() == 2 and np.signbit(M.imag).sum() == 2
-        back = serialize.matrix_from_json(json.loads(json.dumps(serialize.matrix_to_json(M))))
+        back = serialize.matrix_from_json(as_json(serialize.matrix_to_json(M)))
         assert same_bits(back, M)
 
 
@@ -171,7 +172,7 @@ class TestStrategy:
     def test_round_trip(self):
         alice, bob, psi = chsh_optimal_strategy()
         doc = serialize.strategy_to_json(alice, bob, psi)
-        a2, b2, psi2 = serialize.strategy_from_json(json.loads(json.dumps(doc)))
+        a2, b2, psi2 = serialize.strategy_from_json(as_json(doc))
         assert np.array_equal(psi2, psi)
         for x in range(2):
             for a in range(2):
@@ -195,7 +196,7 @@ class TestDumps:
             digests.append(payload_sha256)
             return {"command": "x", "config": {"seed": None}, "payload_sha256": payload_sha256}
 
-        text = "".join(serialize.document_pieces(payload, manifest, indent))
+        text = b"".join(serialize.document_pieces(payload, manifest, indent)).decode()
         want = hashlib.sha256(json.dumps(payload, indent=indent).encode()).hexdigest()
         assert digests == [want]
         assert text == json.dumps({"payload": payload, "manifest": manifest(want)}, indent=indent)
@@ -288,6 +289,22 @@ class TestFloatTextEqualsJson:
         doc, _ = serialize.read_json(str(path))
         assert same_bits(np.array(doc["p"]), np.array(json.loads(text)["p"]))
 
+    @pytest.mark.parametrize("indent", [2, None])
+    def test_dumps_array(self, corpus, indent):
+        assert serialize.dumps(np.array(corpus), indent) == json.dumps(corpus, indent=indent)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_in_an_array_raises_before_a_piece(self, corpus, bad):
+        row = np.array(corpus[:3 * serialize.FLOAT_SLICE] + [bad])
+        with pytest.raises(ValueError) as expected:
+            json.dumps(bad, allow_nan=False)
+        for payload in ({"p": row}, {"p": row[::-1][None]}, [{"re": row}]):
+            with pytest.raises(ValueError) as raised:
+                serialize.document_pieces(payload, lambda digest: {})  # the call, not its pieces
+            assert str(raised.value) == str(expected.value)
+        with pytest.raises(ValueError):
+            serialize.dumps(row)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_raises_before_a_piece(self, corpus, bad):
         payload = {"p": corpus[:3 * serialize.FLOAT_SLICE] + [bad]}  # in the list's last slice
@@ -298,6 +315,78 @@ class TestFloatTextEqualsJson:
         assert str(raised.value) == str(expected.value)
         with pytest.raises(ValueError):
             serialize.dumps(payload["p"])
+
+
+def ulp_neighbours(x, steps=3):
+    """``x`` and its ``steps`` nearest doubles below and above."""
+    below, above = [x], [x]
+    for _ in range(steps):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
+EDGE_ARRAY = np.array([0.5, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                       -1.7976931348623157e308, *ulp_neighbours(1e-9), *ulp_neighbours(-1e-4),
+                       *ulp_neighbours(1e-4), *ulp_neighbours(1e16), *ulp_neighbours(-1e16), 0.25])
+
+
+class TestArraysWrittenAsTheirLists:
+    """``dumps`` of float64 arrays against ``json.dumps`` of their lists.
+
+    Runs of plain-form entries are written by ``orjson`` from the array and
+    the exponent-form entries between them by ``repr``.
+    """
+
+    @pytest.mark.parametrize("indent", [None, 0, 2, 5])
+    def test_exponent_forms_at_the_ends_and_side_by_side(self, indent):
+        for row in ([1e-5, 0.5, 0.25], [0.5, 0.25, 3e16], [0.5, 1e-7, -2e20, 7e-300, 0.25],
+                    [1e-5], [0.5], [1e-5, 1e17], [1e-5, 0.5, 1e17]):
+            a = np.array(row)
+            assert serialize.dumps(a, indent) == json.dumps(row, indent=indent), row
+
+    @pytest.mark.parametrize("indent", [None, 0, 2, 5])
+    def test_edges_of_the_double_range_and_of_repr_forms(self, indent):
+        assert serialize.dumps(EDGE_ARRAY, indent) == json.dumps(EDGE_ARRAY.tolist(),
+                                                                 indent=indent)
+
+    @pytest.mark.parametrize("indent", [None, 0, 2, 5])
+    def test_rows_across_slice_boundaries(self, indent):
+        S = serialize.FLOAT_SLICE
+        row = np.random.default_rng(31).standard_normal(3 * S + 5)
+        row[S - 1:S + 1] = 1e-6, -2e-6  # either side of the first boundary
+        row[S + 7] = 4e18
+        row[2 * S:3 * S] = 3e-5  # a whole slice of exponent forms
+        row[-1] = -1e-300
+        assert serialize.dumps(row, indent) == json.dumps(row.tolist(), indent=indent)
+
+    @pytest.mark.parametrize("indent", [None, 0, 2, 5])
+    def test_rank_4_table_and_empty_arrays(self, indent):
+        p = np.random.default_rng(32).standard_normal((2, 3, 2, 4))
+        p[0, 1, 1, :2] = 1e-5, 2e16
+        p[1, 2, 0, 3] = -0.0
+        doc = {"n": 2, "p": p, "e": np.zeros(0), "rows": np.zeros((2, 0)), "q": p[:, 0, 0, ::2]}
+        plain = {"n": 2, "p": p.tolist(), "e": [], "rows": [[], []], "q": p[:, 0, 0, ::2].tolist()}
+        assert serialize.dumps(doc, indent) == json.dumps(plain, indent=indent)
+
+    def test_documents_hold_arrays(self):
+        ch = channel_direct(random_tensor_model(2, 2, 2, 2, seed=11))
+        member = serialize.channel_to_json(ch)["super"][0][0]
+        assert type(member["re"]) is np.ndarray and member["re"].flags.c_contiguous
+        p = serialize.behaviour_to_json(Behaviour(n=2, m=2, p=np.full((2, 2, 2, 2), 0.25)))["p"]
+        assert type(p) is np.ndarray and p.flags.writeable
+
+    def test_writing_an_n4_channel_holds_no_float_lists(self):
+        # 524,288 floats: as Python float lists the payload took 16.8 MB on its way out
+        ch = channel_direct(random_tensor_model(4, 2, 2, 2, seed=1))
+        tracemalloc.start()
+        try:
+            for _ in serialize.document_pieces(serialize.channel_to_json(ch), lambda digest: {}):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
 
 
 class TestReadJson:
@@ -347,6 +436,16 @@ class TestReadJson:
                            "nests arrays and objects deeper than"):
             serialize.read_json(str(path))
         assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("data, where", [
+        (b"\xff{}", "byte 0xff in position 0: invalid start byte"),
+        (b'{"a": "\xc3\x28"}', "byte 0xc3 in position 7: invalid continuation byte")])
+    def test_bytes_that_are_not_utf8_are_named_where_they_are(self, tmp_path, data, where):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(SchemaError) as raised:
+            serialize.read_json(str(path))
+        assert str(raised.value) == f"{path} is not UTF-8 text: 'utf-8' codec can't decode {where}"
 
     def test_deep_objects_are_refused_before_parsing(self, tmp_path):
         # orjson 3.8 has no depth limit: 100,000 nested objects end it with a segmentation fault
